@@ -1,24 +1,23 @@
-//! **Experiment E3 — copy-free prepared re-execution**: warm runs
-//! through the bag-tree overlay ([`cqd2::cq::eval::BagOverlay`]) vs the
-//! clone-based execution baseline (`deep_clone().into_bcq()`: deep-copy
-//! the materialized tree, then run the consuming semijoin passes on the
-//! copy — exactly what every prepared re-execution paid before the
-//! overlay).
+//! **Experiment E3 — copy-free prepared re-execution**: warm runs over
+//! the shared bag tree's cached edge join indexes
+//! ([`cqd2::cq::eval::EdgeIndex`]) vs the clone-based execution baseline
+//! (`deep_clone().into_bcq()`: deep-copy the materialized tree, then run
+//! the consuming semijoin passes on the copy).
 //!
 //! The fixture is a **bushy** bag tree (root, two mid nodes, four
 //! leaves) over join-consistent data: every join-column value appears on
 //! both sides of every tree edge, so the bottom-up semijoin pass drops
-//! nothing and rewrites **zero** nodes. That is the warm prepared-query
-//! serving shape: the overlay run is pure probing against cached tables,
-//! while the clone baseline still deep-copies ~280k rows and rebuilds
-//! every probe table per run.
+//! nothing and shrinks **zero** nodes. That is the warm prepared-query
+//! serving shape: the warm run reads cached per-edge flags and hashes
+//! nothing, while the clone baseline still deep-copies ~280k rows and
+//! rebuilds every probe table per run.
 //!
 //! Gated (outside the criterion sampling loop, best of five):
-//! - cq level: `MaterializedBags::bcq` with overlays ≥ 2× over
+//! - cq level: warm `MaterializedBags::bcq` ≥ 2× over
 //!   `deep_clone().into_bcq()` on the same tree;
 //! - engine level: warm `PreparedQuery::run(Boolean)` ≥ 2× over the
 //!   clone baseline, with provenance reporting `overlay` mode and zero
-//!   rewritten bags.
+//!   shrunk bags.
 
 use cqd2::cq::{with_sequential_bags, ConjunctiveQuery, Database, MaterializedBags};
 use cqd2::decomp::{Ghd, TreeDecomposition};
@@ -32,12 +31,11 @@ use std::time::{Duration, Instant};
 /// `[0, DOMAIN)` (the first `DOMAIN` rows pin value `i`, the rest draw
 /// uniformly), so semijoins along every tree edge keep everything.
 const DOMAIN: u64 = 4_096;
-/// Rows in the three upper relations — what a warm overlay pass probes.
+/// Rows in the three upper relations.
 const UPPER_ROWS: usize = 8_192;
 /// Rows in the four leaf relations — what the clone baseline deep-copies
-/// and rebuilds probe tables over on every run. The asymmetry is the
-/// serving shape the overlay exists for: warm work proportional to the
-/// (small) filtered frontier, not the (large) materialization.
+/// and rebuilds probe tables over on every run, while a warm pass does
+/// no work proportional to them.
 const LEAF_ROWS: usize = 98_304;
 
 fn best_of<R>(runs: usize, mut f: impl FnMut() -> R) -> Duration {
@@ -167,7 +165,7 @@ fn bench(c: &mut Criterion) {
     );
 
     // Correctness + sparsity gate: the join-consistent fixture must
-    // answer true with ZERO rewritten nodes — warm runs are pure probes.
+    // answer true with ZERO shrunk nodes — warm runs hash nothing.
     let (ans, stats) = bags.bcq_with_stats();
     assert!(ans, "join-consistent fixture must be satisfiable");
     assert_eq!(

@@ -105,14 +105,15 @@ fn bench(c: &mut Criterion) {
     let t = Instant::now();
     black_box(warm_engine.execute_batch(&requests));
     let warm = t.elapsed();
+    let speedup = cold.as_secs_f64() / warm.as_secs_f64().max(1e-9);
     println!(
-        "  cold (100 × decompose+eval): {cold:?}\n  warm (engine, cached plans): {warm:?}\n  speedup: {:.1}×",
-        cold.as_secs_f64() / warm.as_secs_f64().max(1e-9)
+        "  cold (100 × decompose+eval): {cold:?}\n  warm (engine, cached plans): {warm:?}\n  speedup: {speedup:.1}×"
     );
     assert!(
         warm < cold,
         "warm cache batch ({warm:?}) must beat cold per-query decomposition ({cold:?})"
     );
+    println!("GATE engine_plan_cache/warm_vs_cold ratio={speedup:.3} floor=1.0 cmp=ge status=PASS");
 
     let mut g = c.benchmark_group("engine_plan_cache");
     g.bench_function("cold/100x_solve_bcq_fresh_decomposition", |b| {

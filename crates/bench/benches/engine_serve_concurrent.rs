@@ -135,6 +135,9 @@ fn bench(c: &mut Criterion) {
         "concurrent serving must beat sequential execute_batch by ≥ 1.5× \
          on a repeated-structure batch (got {speedup:.2}×: {concurrent:?} vs {sequential:?})"
     );
+    println!(
+        "GATE engine_serve_concurrent/concurrent_vs_sequential ratio={speedup:.3} floor=1.5 cmp=ge status=PASS"
+    );
 
     // Criterion group: per-request latency both ways (the server side
     // measured at the client, socket + framing included).

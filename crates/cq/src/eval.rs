@@ -16,7 +16,7 @@
 //!   Carmeli & Kröll: semijoin-reduce the bag tree bottom-up **and**
 //!   top-down (so every surviving bag row extends to a full answer), then
 //!   stream answers from a [`GhdEnumerator`] that walks the reduced tree
-//!   top-down with hash-indexed bag lookups — no dead-end backtracking,
+//!   top-down through per-edge group lists — no dead-end backtracking,
 //!   answers on demand.
 //!
 //! GHD-guided entry points return [`EvalError`] (a typed
@@ -24,26 +24,25 @@
 //! query, instead of stringly-typed errors.
 //!
 //! All strategies run on the columnar [`FlatRelation`] kernel
-//! ([`crate::flat`]): bags materialize through packed-key hash joins, the
-//! counting DP keeps per-row extension counts in a dense `Vec<u128>`
-//! aligned with each bag's row order and aggregates child counts over
-//! packed key slices (no `HashMap<Vec<u64>, _>` per tuple), and — on
-//! databases large enough to pay for the threads — bag materialization
-//! fans out over the decomposition's bags via `std::thread::scope`, since
-//! each bag joins only already-bound atom relations and is independent of
-//! every other bag.
+//! ([`crate::flat`]): bags materialize through packed-key hash joins —
+//! fanned out over the bags via `std::thread::scope` on databases large
+//! enough to pay for the threads, since each bag joins only bound atom
+//! relations. After that, the warm passes of [`MaterializedBags`] hash
+//! nothing: they run over per-edge join indexes ([`EdgeIndex`]) built
+//! once per bag tree.
 //!
 //! `bcq_auto` / `count_auto` pick the GHD route when an exact
 //! decomposition is computable and fall back to naive otherwise.
 
 use crate::database::Database;
 use crate::flat::FlatRelation;
-use crate::probe::{AggTable, KeyTable};
+use crate::probe::KeyGroups;
 use crate::query::{ConjunctiveQuery, Var};
 use cqd2_decomp::ghd::GhdError;
 use cqd2_decomp::widths::ghw_decomposition;
 use cqd2_decomp::Ghd;
 use cqd2_hypergraph::VertexId;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
@@ -272,81 +271,139 @@ pub fn with_sequential_bags<R>(f: impl FnOnce() -> R) -> R {
     })
 }
 
+/// Scoped-thread workers for a fan-out: every core once there are
+/// several independent tasks (`plural`) and their input reaches
+/// `threshold` rows, unless [`with_sequential_bags`] opted out.
+fn fan_out_workers(plural: bool, rows: usize, threshold: usize) -> usize {
+    if plural && rows >= threshold && !SEQUENTIAL_BAGS.with(std::cell::Cell::get) {
+        std::thread::available_parallelism().map_or(1, |p| p.get())
+    } else {
+        1
+    }
+}
+
 /// Total bag-tree rows below which the per-level tree passes stay
-/// sequential: scoped-thread setup costs more than the semijoin probes
-/// it would parallelize.
+/// sequential: scoped-thread setup costs more than the array work it
+/// would parallelize.
 const PARALLEL_PASS_THRESHOLD: usize = 1 << 15;
 
-/// Sparsity of one overlay tree pass: how many bag nodes the pass
-/// actually rewrote, out of the tree's total. Warm prepared runs on
-/// join-consistent data rewrite **zero** nodes (every semijoin keeps
-/// every row), which is what makes copy-free re-execution pay.
+/// Sparsity of one warm tree pass: how many bag nodes had their live
+/// row set shrunk by a semijoin, out of the tree's total. Warm prepared
+/// runs on join-consistent data shrink **zero** nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PassStats {
-    /// Nodes the pass rewrote (copied + filtered).
+    /// Nodes whose live row set the pass shrank.
     pub rewritten: usize,
     /// Nodes in the bag tree.
     pub total: usize,
 }
 
-/// A copy-on-rewrite view over a shared [`MaterializedBags`] tree: reads
-/// fall through to the base materialization; a pass that filters a node
-/// writes the filtered relation into a sparse local layer and leaves the
-/// base untouched. Tree passes built on this copy only the nodes they
-/// actually rewrite — the Boolean pass touches non-leaf parents at most
-/// (none at all when nothing drops), the counting DP touches merge
-/// targets — instead of cloning the whole tree per run.
+/// [`EdgeIndex`] marker for a parent row with no partner in the child.
+const NO_GROUP: u32 = u32::MAX;
+
+/// The join index of one bag-tree edge (parent `u`, child `c`): the rows
+/// of both bags mapped onto dense group ids of the shared-variable key.
+/// One hash pass per side builds it, the first time a pass crosses the
+/// edge or up front through [`MaterializedBags::index_edges`];
+/// [`MaterializedBags`] caches it, so every later pass over the edge is
+/// array work with no hashing at all.
 #[derive(Debug)]
-pub struct BagOverlay<'a> {
-    base: &'a MaterializedBags,
-    /// Sparse rewrite layer, indexed by node.
-    local: Vec<Option<Arc<FlatRelation>>>,
+pub struct EdgeIndex {
+    /// Group id of each row of `c` (on its `up_key` columns), dense in
+    /// first-occurrence order.
+    child_group: Vec<u32>,
+    /// Group id of each row of `u` (on its `parent_key` columns), or
+    /// [`NO_GROUP`] when no row of `c` shares the key.
+    parent_group: Vec<u32>,
+    /// Rows of `c` per group.
+    group_rows: Vec<u32>,
+    /// Every row of `u` has a partner: a semijoin against an unshrunk
+    /// `c` drops nothing.
+    parents_all_match: bool,
 }
 
-impl<'a> BagOverlay<'a> {
-    /// An overlay with an empty rewrite layer: every read sees `base`.
-    pub fn new(base: &'a MaterializedBags) -> BagOverlay<'a> {
-        BagOverlay {
-            base,
-            local: vec![None; base.relations.len()],
+impl EdgeIndex {
+    fn build(
+        child: &FlatRelation,
+        up_key: &[usize],
+        parent: &FlatRelation,
+        parent_key: &[usize],
+    ) -> EdgeIndex {
+        let (table, child_group) = KeyGroups::build(child, up_key);
+        let mut group_rows = vec![0u32; table.len()];
+        for &g in &child_group {
+            group_rows[g as usize] += 1;
+        }
+        let mut scratch = vec![0u64; parent_key.len()];
+        let parent_group: Vec<u32> = parent
+            .iter()
+            .map(|t| {
+                for (s, &p) in scratch.iter_mut().zip(parent_key) {
+                    *s = t[p];
+                }
+                table.get(&scratch).unwrap_or(NO_GROUP)
+            })
+            .collect();
+        EdgeIndex {
+            parents_all_match: !parent_group.contains(&NO_GROUP),
+            child_group,
+            parent_group,
+            group_rows,
         }
     }
 
-    /// The current relation of node `u` (rewritten if the pass touched
-    /// it, the shared base otherwise).
-    pub fn rel(&self, u: usize) -> &FlatRelation {
-        match &self.local[u] {
-            Some(r) => r,
-            None => &self.base.relations[u],
+    /// Number of distinct shared-variable keys among the child's rows.
+    fn groups(&self) -> usize {
+        self.group_rows.len()
+    }
+}
+
+/// The rows of one bag still alive in a warm pass: a bitmask over the
+/// bag's rows, `None` while every row is alive (nothing allocated).
+struct LiveRows {
+    mask: Option<Vec<u64>>,
+    /// Number of alive rows.
+    count: usize,
+}
+
+impl LiveRows {
+    /// Visit the alive rows of an `n`-row bag in ascending order.
+    fn for_each(&self, n: usize, mut f: impl FnMut(usize)) {
+        match &self.mask {
+            None => (0..n).for_each(f),
+            Some(words) => {
+                for (w, &word) in words.iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        f(w * 64 + bits.trailing_zeros() as usize);
+                        bits &= bits - 1;
+                    }
+                }
+            }
         }
     }
 
-    /// Shared handle on node `u`'s current relation: an `Arc` bump, never
-    /// a buffer copy (enumerators keep untouched bags alive this way).
-    pub fn rel_shared(&self, u: usize) -> Arc<FlatRelation> {
-        match &self.local[u] {
-            Some(r) => Arc::clone(r),
-            None => Arc::clone(&self.base.relations[u]),
+    /// Drop the alive rows of an `n`-row bag that fail `keep`.
+    fn retain(&mut self, n: usize, keep: impl Fn(usize) -> bool) {
+        let mut words = self.mask.take().unwrap_or_else(|| {
+            let mut full = vec![!0u64; n.div_ceil(64)];
+            if let Some(last) = full.last_mut().filter(|_| !n.is_multiple_of(64)) {
+                *last = (1 << (n % 64)) - 1;
+            }
+            full
+        });
+        for (w, word) in words.iter_mut().enumerate() {
+            let mut bits = *word;
+            while bits != 0 {
+                let bit = bits & bits.wrapping_neg();
+                if !keep(w * 64 + bit.trailing_zeros() as usize) {
+                    *word &= !bit;
+                    self.count -= 1;
+                }
+                bits &= bits - 1;
+            }
         }
-    }
-
-    /// Has the running pass rewritten node `u`? (Cached base-side probe
-    /// tables are only valid while this is `false`.)
-    pub fn is_rewritten(&self, u: usize) -> bool {
-        self.local[u].is_some()
-    }
-
-    /// Install `rel` as node `u`'s rewritten relation.
-    pub fn set(&mut self, u: usize, rel: FlatRelation) {
-        self.local[u] = Some(Arc::new(rel));
-    }
-
-    /// Rewrite sparsity so far.
-    pub fn stats(&self) -> PassStats {
-        PassStats {
-            rewritten: self.local.iter().filter(|l| l.is_some()).count(),
-            total: self.local.len(),
-        }
+        self.mask = (self.count < n).then_some(words);
     }
 }
 
@@ -358,18 +415,18 @@ impl<'a> BagOverlay<'a> {
 /// the `O(‖D‖^width)` part. Build it once with
 /// [`MaterializedBags::build`] and run as many passes as needed:
 /// [`MaterializedBags::bcq`], [`MaterializedBags::count`], and
-/// [`MaterializedBags::enumerator`] run through a [`BagOverlay`] — reads
-/// fall through to the shared, immutable materialization and only the
-/// nodes a pass actually rewrites are copied, so warm re-execution (and
-/// any number of concurrent cursors) shares one bag tree with **zero
-/// per-run cloning**. Each node also lazily caches a probe table over
-/// its base relation (valid while a pass leaves the node unrewritten),
-/// so a warm run on join-consistent data is pure probing: no hash-table
-/// builds, no copies. On trees wide and large enough to pay for thread
-/// setup, the bottom-up semijoin pass and the counting DP fan out per
-/// tree level over the scoped-thread pool (nodes at one depth never
-/// read each other). The one-shot [`bcq_via_ghd`] / [`count_via_ghd`] /
-/// [`enumerate_via_ghd`] wrappers build and consume in place instead.
+/// [`MaterializedBags::enumerator`] never copy or hash a bag. Each tree
+/// edge carries a lazily built, cached [`EdgeIndex`] (dense group ids
+/// on both sides of the edge), and a pass works only on per-node arrays
+/// over it: live-row bitmasks for the semijoins, per-group `u128` sums
+/// for the counting DP, group-sorted row lists for the enumerator. Warm
+/// re-execution (and any number of concurrent cursors) therefore shares
+/// one immutable bag tree. On trees wide and large enough to pay for
+/// thread setup, the bottom-up semijoin pass and the counting DP fan
+/// out per tree level over the scoped-thread pool (nodes at one depth
+/// never read each other). The one-shot [`bcq_via_ghd`] /
+/// [`count_via_ghd`] / [`enumerate_via_ghd`] wrappers build and consume
+/// in place instead.
 ///
 /// ```
 /// use cqd2_cq::eval::MaterializedBags;
@@ -392,40 +449,29 @@ impl<'a> BagOverlay<'a> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MaterializedBags {
-    /// Per-bag relations, `Arc`-shared so overlays and enumerators can
-    /// hold untouched bags without copying buffers.
+    /// Per-bag relations, `Arc`-shared so enumerators and refreshed
+    /// trees can hold bags without copying buffers.
     relations: Vec<Arc<FlatRelation>>,
     children: Vec<Vec<usize>>,
     /// Parent of each node (`usize::MAX` at the root).
     parents: Vec<usize>,
     post_order: Vec<usize>,
-    /// Nodes grouped by depth (`levels[0]` = `[root]`). Nodes within a
-    /// level are pairwise non-adjacent in the tree, so per-level pass
-    /// tasks touch disjoint state.
+    /// Internal (non-leaf) nodes grouped by depth, the root's level
+    /// first. Nodes within a level are pairwise non-adjacent in the
+    /// tree, so per-level pass tasks touch disjoint state.
     levels: Vec<Vec<usize>>,
     /// For each non-root node `u`: the columns of `relations[u]` whose
     /// variables also occur in the parent bag — the semijoin key, child
-    /// side. Resolved once at build; every pass rewrite preserves column
-    /// layout, so the positions stay valid all tree passes long.
+    /// side. Resolved once at build.
     up_key: Vec<Vec<usize>>,
     /// The matching key columns in the parent's relation (same variable
     /// order as `up_key`). Empty at the root.
     parent_key: Vec<Vec<usize>>,
-    /// Lazily-built probe table per node, over the **base** relation,
-    /// keyed on `up_key` (what the parent's bottom-up semijoin probes).
-    /// Sound to reuse across runs because overlays never mutate the
-    /// base; passes consult it only while the node is unrewritten.
-    /// `Arc`'d so [`MaterializedBags::refresh`] can share a clean node's
-    /// filled table with the refreshed tree instead of rebuilding it.
-    base_tables: Vec<OnceLock<Arc<KeyTable>>>,
-    /// Lazily-built per-key multiplicity table per **leaf** node (the
-    /// counting DP's child aggregation with all-ones counts — leaves are
-    /// never rewritten by the DP, so this too survives across runs).
-    leaf_aggs: Vec<OnceLock<Arc<AggTable>>>,
-    /// Lazily-built probe table per non-root node, over the **parent's**
-    /// base relation, keyed on `parent_key` (what the enumerator's
-    /// top-down semijoin probes when the parent is unrewritten).
-    down_tables: Vec<OnceLock<Arc<KeyTable>>>,
+    /// Lazily built join index of the edge from each non-root node to
+    /// its parent. Sound to reuse across runs because passes never
+    /// mutate a bag; `Arc`'d so [`MaterializedBags::refresh`] can share
+    /// an index whose two bags stayed clean.
+    edges: Vec<OnceLock<Arc<EdgeIndex>>>,
     /// Per-bag materialization recipe, retained so
     /// [`MaterializedBags::refresh`] can re-run exactly the build-time
     /// join/project sequence for a dirty bag against a new database.
@@ -455,24 +501,28 @@ struct BagRecipe {
 impl BagRecipe {
     /// Every atom index this bag's materialization reads.
     fn atoms(&self) -> impl Iterator<Item = usize> + '_ {
-        self.cover_atoms
-            .iter()
-            .chain(&self.assigned_atoms)
-            .copied()
+        self.cover_atoms.iter().chain(&self.assigned_atoms).copied()
     }
 }
 
 /// Run one bag's recipe: join the cover representatives, project to the
 /// bag's variables, then join the assigned atoms. `bound` resolves an
-/// atom index to its bound relation.
+/// atom index to its bound relation. The result is bit-identical to
+/// joining everything onto `unit()`, without the redundant work: the
+/// first cover relation is borrowed rather than copied through a
+/// cartesian product, an identity projection is skipped, an assigned
+/// atom that is also a cover atom is skipped (`R ⋈ R = R`), and an
+/// assigned atom that adds no column is a semijoin filter.
 fn materialize_bag<'a>(
     recipe: &BagRecipe,
     bound: impl Fn(usize) -> &'a FlatRelation,
 ) -> FlatRelation {
-    let mut rel = FlatRelation::unit();
-    for &ai in &recipe.cover_atoms {
-        rel = rel.join(bound(ai));
-    }
+    let mut rel: Cow<'a, FlatRelation> = match recipe.cover_atoms.split_first() {
+        Some((&first, rest)) => rest.iter().fold(Cow::Borrowed(bound(first)), |r, &ai| {
+            Cow::Owned(r.join(bound(ai)))
+        }),
+        None => Cow::Owned(FlatRelation::unit()),
+    };
     // Project to bag variables (cover may reach outside the bag).
     let keep: Vec<Var> = recipe
         .bag_vars
@@ -480,11 +530,23 @@ fn materialize_bag<'a>(
         .copied()
         .filter(|v| rel.vars().contains(v))
         .collect();
-    rel = rel.project(&keep);
-    for &ai in &recipe.assigned_atoms {
-        rel = rel.join(bound(ai));
+    if keep != rel.vars() {
+        rel = Cow::Owned(rel.project(&keep));
     }
-    rel
+    for &ai in &recipe.assigned_atoms {
+        if recipe.cover_atoms.contains(&ai) {
+            continue;
+        }
+        let atom = bound(ai);
+        if atom.vars().iter().all(|v| rel.vars().contains(v)) {
+            if let Some(filtered) = rel.semijoin_filter(atom) {
+                rel = Cow::Owned(filtered);
+            }
+        } else {
+            rel = Cow::Owned(rel.join(atom));
+        }
+    }
+    rel.into_owned()
 }
 
 impl MaterializedBags {
@@ -509,11 +571,11 @@ impl MaterializedBags {
         self.relations.len()
     }
 
-    /// A detached deep copy: fresh relation buffers, empty probe-table
-    /// caches. This is the **clone-based execution baseline** — exactly
-    /// the per-run cost the overlay passes eliminate — kept public so
-    /// benches and differential tests can measure and compare against
-    /// it (`bags.deep_clone().into_bcq()` etc.).
+    /// A detached deep copy: fresh relation buffers, no edge indexes.
+    /// This is the **clone-based execution baseline** — the consuming
+    /// `into_*` passes rewrite it in place — kept public so benches and
+    /// differential tests can measure and compare against it
+    /// (`bags.deep_clone().into_bcq()` etc.).
     pub fn deep_clone(&self) -> MaterializedBags {
         MaterializedBags {
             relations: self
@@ -521,35 +583,21 @@ impl MaterializedBags {
                 .iter()
                 .map(|r| Arc::new(FlatRelation::clone(r)))
                 .collect(),
-            children: self.children.clone(),
-            parents: self.parents.clone(),
-            post_order: self.post_order.clone(),
-            levels: self.levels.clone(),
-            up_key: self.up_key.clone(),
-            parent_key: self.parent_key.clone(),
-            base_tables: (0..self.relations.len()).map(|_| OnceLock::new()).collect(),
-            leaf_aggs: (0..self.relations.len()).map(|_| OnceLock::new()).collect(),
-            down_tables: (0..self.relations.len()).map(|_| OnceLock::new()).collect(),
-            recipes: self.recipes.clone(),
-            root: self.root,
-            num_vars: self.num_vars,
+            edges: fresh_edges(self.relations.len()),
+            ..self.clone()
         }
     }
 
     /// **Warm maintenance** after a delta: rebuild only the bags whose
     /// materialization reads a relation in `dirty`, sharing every clean
-    /// bag's relation (an `Arc` bump, no buffer copy) *and* its filled
-    /// probe-table caches with `self`. `q` must be the query this tree
-    /// was built for and `db` the post-delta database; `dirty` holds the
-    /// names of the relations the delta touched.
+    /// bag's relation (an `Arc` bump, no buffer copy) with `self`, and
+    /// every edge index whose two bags are both clean. `q` must be the
+    /// query this tree was built for and `db` the post-delta database;
+    /// `dirty` holds the names of the relations the delta touched.
     ///
     /// Dirty bags re-run their retained build recipe, which reproduces
     /// the build-time column layout exactly, so the tree shape and the
-    /// resolved semijoin keys carry over unchanged. Cache carry-over
-    /// follows each table's validity domain: a node's up-probe table and
-    /// leaf aggregation move over iff the node itself is clean; a node's
-    /// down-probe table (built over its *parent's* relation) moves over
-    /// iff the parent is clean.
+    /// resolved semijoin keys carry over unchanged.
     ///
     /// Returns the refreshed tree plus the maintenance sparsity: how
     /// many bags were re-materialized out of the total. `rewritten == 0`
@@ -583,25 +631,16 @@ impl MaterializedBags {
         }
         let dirty_nodes: Vec<usize> = (0..n).filter(|&u| dirty_bag[u]).collect();
         let bound_tuples: usize = bound.iter().flatten().map(FlatRelation::len).sum();
-        let parallel = dirty_nodes.len() > 1
-            && bound_tuples >= PARALLEL_BAG_THRESHOLD
-            && !SEQUENTIAL_BAGS.with(std::cell::Cell::get);
-        let workers = if parallel {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            1
-        };
-        let remat: Vec<FlatRelation> =
-            crate::par::scoped_map(dirty_nodes.len(), workers, |i| {
-                materialize_bag(&self.recipes[dirty_nodes[i]], |ai| {
-                    bound[ai]
-                        .as_ref()
-                        // cqd2-lint: allow(panic-in-hot-path, reason = "every atom a dirty bag reads was bound in the loop above")
-                        .expect("dirty bag atom bound")
-                })
-            });
-        let mut relations: Vec<Arc<FlatRelation>> =
-            self.relations.iter().map(Arc::clone).collect();
+        let workers = fan_out_workers(dirty_nodes.len() > 1, bound_tuples, PARALLEL_BAG_THRESHOLD);
+        let remat: Vec<FlatRelation> = crate::par::scoped_map(dirty_nodes.len(), workers, |i| {
+            materialize_bag(&self.recipes[dirty_nodes[i]], |ai| {
+                bound[ai]
+                    .as_ref()
+                    // cqd2-lint: allow(panic-in-hot-path, reason = "every atom a dirty bag reads was bound in the loop above")
+                    .expect("dirty bag atom bound")
+            })
+        });
+        let mut relations: Vec<Arc<FlatRelation>> = self.relations.iter().map(Arc::clone).collect();
         for (i, rel) in remat.into_iter().enumerate() {
             let u = dirty_nodes[i];
             debug_assert_eq!(
@@ -611,34 +650,14 @@ impl MaterializedBags {
             );
             relations[u] = Arc::new(rel);
         }
-        // Carry over the caches whose validity domain stayed clean.
-        let seed_key = |src: &OnceLock<Arc<KeyTable>>, valid: bool| {
-            let lock = OnceLock::new();
-            if valid {
-                if let Some(t) = src.get() {
-                    let _ = lock.set(Arc::clone(t));
+        // An edge index survives iff both of its bags are clean.
+        // (A filled slot is never the root's, so `parents[c]` is a node.)
+        let edges = (0..n)
+            .map(|c| match self.edges[c].get() {
+                Some(e) if !dirty_bag[c] && !dirty_bag[self.parents[c]] => {
+                    OnceLock::from(Arc::clone(e))
                 }
-            }
-            lock
-        };
-        let base_tables: Vec<OnceLock<Arc<KeyTable>>> = (0..n)
-            .map(|c| seed_key(&self.base_tables[c], !dirty_bag[c]))
-            .collect();
-        let down_tables: Vec<OnceLock<Arc<KeyTable>>> = (0..n)
-            .map(|c| {
-                let p = self.parents[c];
-                seed_key(&self.down_tables[c], p != usize::MAX && !dirty_bag[p])
-            })
-            .collect();
-        let leaf_aggs: Vec<OnceLock<Arc<AggTable>>> = (0..n)
-            .map(|c| {
-                let lock = OnceLock::new();
-                if !dirty_bag[c] {
-                    if let Some(t) = self.leaf_aggs[c].get() {
-                        let _ = lock.set(Arc::clone(t));
-                    }
-                }
-                lock
+                _ => OnceLock::new(),
             })
             .collect();
         let stats = PassStats {
@@ -648,18 +667,8 @@ impl MaterializedBags {
         (
             MaterializedBags {
                 relations,
-                children: self.children.clone(),
-                parents: self.parents.clone(),
-                post_order: self.post_order.clone(),
-                levels: self.levels.clone(),
-                up_key: self.up_key.clone(),
-                parent_key: self.parent_key.clone(),
-                base_tables,
-                leaf_aggs,
-                down_tables,
-                recipes: self.recipes.clone(),
-                root: self.root,
-                num_vars: self.num_vars,
+                edges,
+                ..self.clone()
             },
             stats,
         )
@@ -672,117 +681,117 @@ impl MaterializedBags {
         &self.relations[u]
     }
 
-    /// Decide `q(D) ≠ ∅` with an overlay Boolean pass (Prop. 2.2
-    /// bottom-up semijoins; copies only rewritten nodes).
+    /// The join index of the edge from node `c` to its parent, built on
+    /// first use (`None` at the root). Its `Arc` identity is the witness
+    /// differential tests use to assert that a refresh shared an index.
+    pub fn edge_index(&self, c: usize) -> Option<&Arc<EdgeIndex>> {
+        (self.parents[c] != usize::MAX).then(|| self.edge(c))
+    }
+
+    /// Build every edge's join index now instead of on the first pass
+    /// that crosses it, so that cost lands in preprocessing.
+    pub fn index_edges(&self) {
+        for c in (0..self.relations.len()).filter(|&c| self.parents[c] != usize::MAX) {
+            self.edge(c);
+        }
+    }
+
+    /// The cached join index of the edge from non-root node `c` to its
+    /// parent, built on first use.
+    fn edge(&self, c: usize) -> &Arc<EdgeIndex> {
+        self.edges[c].get_or_init(|| {
+            let p = self.parents[c];
+            Arc::new(EdgeIndex::build(
+                &self.relations[c],
+                &self.up_key[c],
+                &self.relations[p],
+                &self.parent_key[c],
+            ))
+        })
+    }
+
+    /// Decide `q(D) ≠ ∅` with a warm Boolean pass (Prop. 2.2 bottom-up
+    /// semijoins over live-row bitmasks).
     pub fn bcq(&self) -> bool {
         self.bcq_with_stats().0
     }
 
-    /// [`MaterializedBags::bcq`] plus the pass's rewrite sparsity.
+    /// [`MaterializedBags::bcq`] plus the pass's shrink sparsity.
     pub fn bcq_with_stats(&self) -> (bool, PassStats) {
-        let mut ov = BagOverlay::new(self);
-        let ok = self.reduce_bottom_up(&mut ov);
-        (ok && !ov.rel(self.root).is_empty(), ov.stats())
+        let (live, ok) = self.reduce_bottom_up();
+        (ok, self.pass_stats(&live))
     }
 
-    /// Count `|q(D)|` with an overlay counting DP (Prop. 4.14
-    /// junction-tree DP; copies only merge targets).
+    /// Count `|q(D)|` with a warm counting DP (Prop. 4.14 junction-tree
+    /// DP over per-group `u128` sums).
     pub fn count(&self) -> u128 {
         self.count_with_stats().0
     }
 
-    /// [`MaterializedBags::count`] plus the pass's rewrite sparsity.
+    /// [`MaterializedBags::count`] plus the pass's shrink sparsity.
     pub fn count_with_stats(&self) -> (u128, PassStats) {
-        let n = self.relations.len();
-        let mut ov = BagOverlay::new(self);
-        // Per-row subtree extension counts; `None` = all ones (leaves
-        // never allocate one).
-        let mut counts: Vec<Option<Vec<u128>>> = vec![None; n];
+        // Per-row subtree extension counts (0 = dead row); `None` = all
+        // ones (leaves never allocate one).
+        let mut counts: Vec<Option<Vec<u128>>> = vec![None; self.relations.len()];
+        let mut shrank = 0;
         let workers = self.pass_workers();
         for level in self.levels.iter().rev() {
-            let work: Vec<usize> = level
-                .iter()
-                .copied()
-                .filter(|&u| !self.children[u].is_empty())
-                .collect();
-            if workers > 1 && work.len() > 1 {
-                let results = crate::par::scoped_map(work.len(), workers, |i| {
-                    self.count_node(&ov, &counts, work[i])
-                });
-                for (&u, (rel, cnt)) in work.iter().zip(results) {
-                    ov.set(u, rel);
-                    counts[u] = Some(cnt);
-                }
-            } else {
-                for &u in &work {
-                    let (rel, cnt) = self.count_node(&ov, &counts, u);
-                    ov.set(u, rel);
-                    counts[u] = Some(cnt);
-                }
+            let results = crate::par::scoped_map(level.len(), workers, |i| {
+                self.count_node(&counts, level[i])
+            });
+            for (&u, (cnt, dropped)) in level.iter().zip(results) {
+                counts[u] = Some(cnt);
+                shrank += usize::from(dropped);
             }
         }
         let total = match &counts[self.root] {
             Some(c) => c.iter().sum(),
             // A root with no children: every root row is one answer.
-            None => ov.rel(self.root).len() as u128,
+            None => self.relations[self.root].len() as u128,
         };
-        (total, ov.stats())
+        let total_bags = self.relations.len();
+        (
+            total,
+            PassStats {
+                rewritten: shrank,
+                total: total_bags,
+            },
+        )
     }
 
-    /// Open a streaming answer enumerator through an overlay reduction
-    /// (semijoin-reduce both ways, then constant-delay enumeration).
-    /// Untouched bags are shared with the base tree by `Arc`, so any
-    /// number of concurrent cursors pin one materialization.
+    /// Open a streaming answer enumerator: semijoin-reduce bottom-up
+    /// over live-row bitmasks, then enumerate with constant delay over
+    /// the shared bags. Any number of concurrent cursors pin one
+    /// materialization.
+    ///
+    /// No top-down pass is needed: the walk reaches a bag's rows only
+    /// through the group of its parent's chosen row, so it never visits
+    /// the rows a top-down semijoin would drop, and every row it visits
+    /// extends into its whole subtree. Answers and their order equal the
+    /// two-pass [`MaterializedBags::into_enumerator`]'s.
     pub fn enumerator(&self) -> GhdEnumerator {
         self.enumerator_with_stats().0
     }
 
-    /// [`MaterializedBags::enumerator`] plus the reduction's rewrite
-    /// sparsity (both passes combined).
+    /// [`MaterializedBags::enumerator`] plus the reduction's shrink
+    /// sparsity.
     pub fn enumerator_with_stats(&self) -> (GhdEnumerator, PassStats) {
         if self.relations.is_empty() {
             return (GhdEnumerator::empty(), PassStats::default());
         }
-        let mut ov = BagOverlay::new(self);
-        if !self.reduce_bottom_up(&mut ov) {
-            return (GhdEnumerator::empty(), ov.stats());
+        let (live, ok) = self.reduce_bottom_up();
+        let stats = self.pass_stats(&live);
+        if !ok {
+            return (GhdEnumerator::empty(), stats);
         }
-        // Top-down pass (parents filter children): afterwards the tree
-        // is globally consistent — every surviving row extends to a full
-        // answer. Unrewritten parents probe through the cached
-        // parent-side table; rewritten ones build a fresh one.
-        for level in &self.levels {
-            for &u in level {
-                for &c in &self.children[u] {
-                    let filtered = if ov.is_rewritten(u) {
-                        let table = KeyTable::build(ov.rel(u), &self.parent_key[c]);
-                        ov.rel(c).semijoin_filter_with(&table, &self.up_key[c])
-                    } else {
-                        let table = self.down_tables[c].get_or_init(|| {
-                            Arc::new(KeyTable::build(&self.relations[u], &self.parent_key[c]))
-                        });
-                        ov.rel(c).semijoin_filter_with(table, &self.up_key[c])
-                    };
-                    if let Some(f) = filtered {
-                        ov.set(c, f);
-                    }
-                }
-            }
+        (self.open_enumerator(&live), stats)
+    }
+
+    fn pass_stats(&self, live: &[LiveRows]) -> PassStats {
+        PassStats {
+            rewritten: live.iter().filter(|l| l.mask.is_some()).count(),
+            total: self.relations.len(),
         }
-        let stats = ov.stats();
-        let rels: Vec<Arc<FlatRelation>> = (0..self.relations.len())
-            .map(|u| ov.rel_shared(u))
-            .collect();
-        (
-            build_enumerator(
-                rels,
-                &self.children,
-                &self.parents,
-                self.root,
-                self.num_vars,
-            ),
-            stats,
-        )
     }
 
     /// Worker count for per-level tree passes: parallel only when some
@@ -791,145 +800,101 @@ impl MaterializedBags {
     /// amortize thread setup, and the caller did not opt out via
     /// [`with_sequential_bags`].
     fn pass_workers(&self) -> usize {
-        let wide = self
-            .levels
-            .iter()
-            .any(|l| l.iter().filter(|&&u| !self.children[u].is_empty()).count() > 1);
-        if !wide
-            || self.total_rows() < PARALLEL_PASS_THRESHOLD
-            || SEQUENTIAL_BAGS.with(std::cell::Cell::get)
-        {
-            1
-        } else {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        }
+        let wide = self.levels.iter().any(|l| l.len() > 1);
+        fan_out_workers(wide, self.total_rows(), PARALLEL_PASS_THRESHOLD)
     }
 
-    /// Bottom-up Yannakakis pass over the overlay, per level from the
-    /// deepest up. Returns `false` as soon as any bag is (or becomes)
-    /// empty — then `q(D) = ∅`.
-    fn reduce_bottom_up(&self, ov: &mut BagOverlay<'_>) -> bool {
+    /// Bottom-up Yannakakis pass, per level from the deepest up: each
+    /// internal node keeps the rows with a live partner in every child.
+    /// Returns the live rows per node and whether every bag stayed
+    /// nonempty (`false` → `q(D) = ∅`; the pass stops there).
+    fn reduce_bottom_up(&self) -> (Vec<LiveRows>, bool) {
+        let mut live: Vec<LiveRows> = self
+            .relations
+            .iter()
+            .map(|r| LiveRows {
+                mask: None,
+                count: r.len(),
+            })
+            .collect();
         if self.relations.iter().any(|r| r.is_empty()) {
-            return false;
+            return (live, false);
         }
         let workers = self.pass_workers();
         for level in self.levels.iter().rev() {
-            let work: Vec<usize> = level
-                .iter()
-                .copied()
-                .filter(|&u| !self.children[u].is_empty())
-                .collect();
-            if workers > 1 && work.len() > 1 {
-                let results =
-                    crate::par::scoped_map(work.len(), workers, |i| self.reduce_node(ov, work[i]));
-                let mut emptied = false;
-                for (&u, res) in work.iter().zip(results) {
-                    if let Some(rel) = res {
-                        emptied |= rel.is_empty();
-                        ov.set(u, rel);
-                    }
-                }
-                if emptied {
-                    return false;
-                }
-            } else {
-                for &u in &work {
-                    if let Some(rel) = self.reduce_node(ov, u) {
-                        let emptied = rel.is_empty();
-                        ov.set(u, rel);
-                        if emptied {
-                            return false;
-                        }
-                    }
-                }
+            let results =
+                crate::par::scoped_map(level.len(), workers, |i| self.reduce_node(&live, level[i]));
+            let mut emptied = false;
+            for (&u, rows) in level.iter().zip(results) {
+                emptied |= rows.count == 0;
+                live[u] = rows;
+            }
+            if emptied {
+                return (live, false);
             }
         }
-        true
+        (live, true)
     }
 
-    /// Semijoin node `u` against each of its children through the
-    /// overlay. `None` = every row survived every child (node unchanged,
-    /// nothing written). Unrewritten children probe through the cached
-    /// base-side table; rewritten ones build a fresh one.
-    fn reduce_node(&self, ov: &BagOverlay<'_>, u: usize) -> Option<FlatRelation> {
-        let mut cur: Option<FlatRelation> = None;
+    /// Node `u`'s live rows after semijoining it against each of its
+    /// (already reduced) children.
+    fn reduce_node(&self, live: &[LiveRows], u: usize) -> LiveRows {
+        let n = self.relations[u].len();
+        let mut out = LiveRows {
+            mask: None,
+            count: n,
+        };
         for &c in &self.children[u] {
-            let parent = match &cur {
-                Some(r) => r,
-                None => ov.rel(u),
-            };
-            let filtered = if ov.is_rewritten(c) {
-                let table = KeyTable::build(ov.rel(c), &self.up_key[c]);
-                parent.semijoin_filter_with(&table, &self.parent_key[c])
-            } else {
-                let table = self.base_tables[c]
-                    .get_or_init(|| Arc::new(KeyTable::build(&self.relations[c], &self.up_key[c])));
-                parent.semijoin_filter_with(table, &self.parent_key[c])
-            };
-            if let Some(f) = filtered {
-                let emptied = f.is_empty();
-                cur = Some(f);
-                if emptied {
-                    break;
-                }
+            let e = self.edge(c);
+            if live[c].mask.is_none() && e.parents_all_match {
+                continue;
+            }
+            let mut alive = vec![false; e.groups()];
+            live[c].for_each(self.relations[c].len(), |r| {
+                alive[e.child_group[r] as usize] = true;
+            });
+            out.retain(n, |r| {
+                alive.get(e.parent_group[r] as usize).is_some_and(|&a| a)
+            });
+            if out.count == 0 {
+                break;
             }
         }
-        cur
+        out
     }
 
-    /// One counting-DP merge: fold node `u`'s children into `(filtered
-    /// relation, per-row counts)`. Children's aggregation tables come
-    /// from the per-leaf cache when possible (leaves are never rewritten
-    /// and their counts stay all-ones).
-    fn count_node(
-        &self,
-        ov: &BagOverlay<'_>,
-        counts: &[Option<Vec<u128>>],
-        u: usize,
-    ) -> (FlatRelation, Vec<u128>) {
-        let mut rel: Option<FlatRelation> = None;
-        let mut cnt: Option<Vec<u128>> = None;
+    /// One counting-DP merge: node `u`'s per-row extension counts, each
+    /// row's count multiplied by its group's summed child counts (a
+    /// leaf child's sum is its group size). Also reports whether some
+    /// row dropped to zero.
+    fn count_node(&self, counts: &[Option<Vec<u128>>], u: usize) -> (Vec<u128>, bool) {
+        let mut cnt = vec![1u128; self.relations[u].len()];
+        let mut shrank = false;
         for &c in &self.children[u] {
-            let parent = match &rel {
-                Some(r) => r,
-                None => ov.rel(u),
-            };
-            // `u` is merged here for the first time, so its incoming
-            // counts are all-ones until `cnt` is populated.
-            let fresh;
-            let agg: &AggTable = if self.children[c].is_empty() {
-                debug_assert!(!ov.is_rewritten(c) && counts[c].is_none());
-                self.leaf_aggs[c]
-                    .get_or_init(|| Arc::new(AggTable::build(&self.relations[c], &self.up_key[c], None)))
-            } else {
-                fresh = AggTable::build(ov.rel(c), &self.up_key[c], counts[c].as_deref());
-                &fresh
-            };
-            let arity = parent.arity();
-            let key_cols = &self.parent_key[c];
-            let mut scratch = vec![0u64; key_cols.len()];
-            let mut data: Vec<u64> = Vec::with_capacity(parent.len() * arity);
-            let mut kept: Vec<u128> = Vec::with_capacity(parent.len());
-            for (i, t) in parent.iter().enumerate() {
-                for (s, &p) in scratch.iter_mut().zip(key_cols) {
-                    *s = t[p];
+            let e = self.edge(c);
+            let sums: Vec<u128> = match &counts[c] {
+                None => e.group_rows.iter().map(|&k| u128::from(k)).collect(),
+                Some(child) => {
+                    let mut sums = vec![0u128; e.groups()];
+                    for (&g, &k) in e.child_group.iter().zip(child) {
+                        sums[g as usize] += k;
+                    }
+                    sums
                 }
-                if let Some(sum) = agg.get(&scratch) {
-                    data.extend_from_slice(t);
-                    kept.push(cnt.as_ref().map_or(1, |v| v[i]) * sum);
-                }
+            };
+            for (k, &g) in cnt.iter_mut().zip(&e.parent_group) {
+                let sum = sums.get(g as usize).copied().unwrap_or(0);
+                shrank |= sum == 0 && *k != 0;
+                *k *= sum;
             }
-            let rows = kept.len();
-            rel = Some(FlatRelation::from_parts(parent.vars().to_vec(), rows, data));
-            cnt = Some(kept);
         }
-        (
-            // cqd2-lint: allow(panic-in-hot-path, reason = "the non-leaf arm iterates at least one child, which sets both slots")
-            rel.expect("count_node called with children"),
-            // cqd2-lint: allow(panic-in-hot-path, reason = "set together with rel above")
-            cnt.expect("count_node called with children"),
-        )
+        (cnt, shrank)
     }
+}
+
+/// `n` empty edge-index slots.
+fn fresh_edges(n: usize) -> Vec<OnceLock<Arc<EdgeIndex>>> {
+    (0..n).map(|_| OnceLock::new()).collect()
 }
 
 fn build_bag_tree(
@@ -977,20 +942,14 @@ fn build_bag_tree(
             assigned_atoms: assigned[u].clone(),
         })
         .collect();
-    let materialize = |u: usize| materialize_bag(&recipes[u], |ai| &bound[ai]);
     // Gate parallelism on the tuples the *query* actually touches (the
     // bound atom relations), not the whole database — a big unrelated
     // relation must not trigger thread spawns for a microsecond join.
     let bound_tuples: usize = bound.iter().map(FlatRelation::len).sum();
-    let parallel = n > 1
-        && bound_tuples >= PARALLEL_BAG_THRESHOLD
-        && !SEQUENTIAL_BAGS.with(std::cell::Cell::get);
-    let workers = if parallel {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    } else {
-        1
-    };
-    let relations: Vec<FlatRelation> = crate::par::scoped_map(n, workers, materialize);
+    let workers = fan_out_workers(n > 1, bound_tuples, PARALLEL_BAG_THRESHOLD);
+    let relations: Vec<FlatRelation> = crate::par::scoped_map(n, workers, |u| {
+        materialize_bag(&recipes[u], |ai| &bound[ai])
+    });
     // Root the tree at node 0 and compute a post-order.
     let adj = ghd.td.adjacency();
     let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -1018,27 +977,23 @@ fn build_bag_tree(
             }
         }
     }
-    // Depth levels (root = level 0) for the per-level parallel passes:
-    // nodes within one level are pairwise non-adjacent in the tree.
-    let mut levels: Vec<Vec<usize>> = vec![vec![root]];
-    loop {
-        let next: Vec<usize> = levels
-            .last()
-            // cqd2-lint: allow(panic-in-hot-path, reason = "levels is seeded with vec![root] before the loop")
-            .expect("at least the root level")
-            .iter()
-            .flat_map(|&u| children[u].iter().copied())
-            .collect();
-        if next.is_empty() {
-            break;
-        }
-        levels.push(next);
-    }
+    // Depth levels (root = level 0) of the internal nodes, for the
+    // per-level parallel passes.
+    let levels: Vec<Vec<usize>> = std::iter::successors(Some(vec![root]), |level| {
+        let next: Vec<usize> = level.iter().flat_map(|&u| children[u].clone()).collect();
+        (!next.is_empty()).then_some(next)
+    })
+    .map(|level| {
+        level
+            .into_iter()
+            .filter(|&u| !children[u].is_empty())
+            .collect()
+    })
+    .filter(|level: &Vec<usize>| !level.is_empty())
+    .collect();
     // Semijoin key columns along every tree edge, resolved once: the
     // variables a child's relation shares with its parent's relation
-    // (in the child's column order), as positions on both sides. Pass
-    // rewrites preserve column layouts, so these stay valid for the
-    // lifetime of the handle.
+    // (in the child's column order), as positions on both sides.
     let mut up_key: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut parent_key: Vec<Vec<usize>> = vec![Vec::new(); n];
     for u in 0..n {
@@ -1062,9 +1017,7 @@ fn build_bag_tree(
         levels,
         up_key,
         parent_key,
-        base_tables: (0..n).map(|_| OnceLock::new()).collect(),
-        leaf_aggs: (0..n).map(|_| OnceLock::new()).collect(),
-        down_tables: (0..n).map(|_| OnceLock::new()).collect(),
+        edges: fresh_edges(n),
         recipes,
         root,
         num_vars: q.num_vars(),
@@ -1081,15 +1034,22 @@ impl MaterializedBags {
     /// Consuming Boolean pass (bottom-up semijoins, early-out on
     /// empty): like [`MaterializedBags::bcq`] but rewrites the tree in
     /// place, sequentially — the one-shot and differential-baseline
-    /// path. Disjoint field borrows keep the hot loop allocation-free.
+    /// path.
     pub fn into_bcq(mut self) -> bool {
+        self.semijoin_up_in_place() && !self.relations[self.root].is_empty()
+    }
+
+    /// The consuming paths' bottom-up semijoin pass: children filter
+    /// parents in post-order, in place. `false` as soon as a bag is (or
+    /// becomes) empty. Disjoint field borrows keep the loop
+    /// allocation-free.
+    fn semijoin_up_in_place(&mut self) -> bool {
         let MaterializedBags {
             relations,
             children,
             post_order,
-            root,
             ..
-        } = &mut self;
+        } = self;
         for &u in post_order.iter() {
             if relations[u].is_empty() {
                 return false;
@@ -1102,7 +1062,7 @@ impl MaterializedBags {
                 }
             }
         }
-        !relations[*root].is_empty()
+        true
     }
 }
 
@@ -1217,34 +1177,37 @@ impl MaterializedBags {
 /// enumeration (pre-order position).
 #[derive(Debug)]
 struct EnumLevel {
-    /// The fully semijoin-reduced bag relation. `Arc`-shared: bags the
-    /// reduction left untouched point straight into the prepared
-    /// materialization, so concurrent cursors pin one tree.
+    /// The bag relation, shared with the materialized tree (never
+    /// copied: the reduction lives in `rows`).
     rel: Arc<FlatRelation>,
-    /// Assignment slot (`Var` id) of each of `rel`'s columns.
-    write: Vec<usize>,
-    /// Assignment slots of the variables shared with the parent bag —
-    /// the probe key. Empty at the root (and for parent-disjoint bags),
-    /// where the index holds every row under the empty key.
-    key_slots: Vec<usize>,
-    /// Row ids grouped by packed parent-key value.
-    index: HashMap<Box<[u64]>, Vec<u32>>,
+    /// This bag's tree node, and its parent's (`usize::MAX` at the root).
+    node: usize,
+    parent: usize,
+    /// Join index of the edge to the parent (`None` at the root, where
+    /// every row is in group 0).
+    edge: Option<Arc<EdgeIndex>>,
+    /// `rows[start[g]..start[g + 1]]` are the live rows of group `g`, in
+    /// ascending row order.
+    start: Vec<u32>,
+    rows: Vec<u32>,
 }
 
 /// A streaming answer enumerator over a semijoin-reduced GHD bag tree
 /// (created by [`enumerate_via_ghd`]).
 ///
-/// After the two reduction passes every bag row extends to at least one
-/// full answer, so the top-down walk never backtracks out of a dead end:
-/// each [`Iterator::next`] call does `O(tree size)` hash probes and row
-/// copies, independent of the database — the constant-delay regime of
-/// Durand & Grandjean / Carmeli & Kröll, with the `O(‖D‖^k)` work
-/// confined to the preprocessing phase.
+/// After the bottom-up reduction every live bag row extends into its
+/// whole subtree, and the top-down walk reaches a bag only through its
+/// parent's chosen row, so it never backtracks out of a dead end: each
+/// [`Iterator::next`] call does `O(tree size)` array lookups
+/// (the parent row's group on each edge, then that group's live rows)
+/// and row copies, independent of the database — the constant-delay
+/// regime of Durand & Grandjean / Carmeli & Kröll, with the `O(‖D‖^k)`
+/// work confined to the preprocessing phase.
 ///
 /// Answers are full assignments in `Var` id order (the same shape
 /// [`enumerate_naive`] produces) but **not** in sorted order; sort the
 /// collected prefix if a canonical order is needed.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct GhdEnumerator {
     /// Bags in pre-order (parents before children).
     levels: Vec<EnumLevel>,
@@ -1252,8 +1215,8 @@ pub struct GhdEnumerator {
     assignment: Vec<u64>,
     /// Current match-list position per level.
     choice: Vec<usize>,
-    /// Scratch buffer for packed probe keys.
-    scratch: Vec<u64>,
+    /// Row chosen per tree node.
+    row: Vec<usize>,
     started: bool,
     done: bool,
 }
@@ -1262,12 +1225,8 @@ impl GhdEnumerator {
     /// An enumerator that yields nothing (empty result set).
     fn empty() -> GhdEnumerator {
         GhdEnumerator {
-            levels: Vec::new(),
-            assignment: Vec::new(),
-            choice: Vec::new(),
-            scratch: Vec::new(),
-            started: false,
             done: true,
+            ..GhdEnumerator::default()
         }
     }
 
@@ -1276,19 +1235,21 @@ impl GhdEnumerator {
     /// matches. Backtracks on exhaustion; `false` means the walk is done.
     fn search(&mut self, mut d: usize, mut i: usize) -> bool {
         loop {
-            self.scratch.clear();
-            for &slot in &self.levels[d].key_slots {
-                self.scratch.push(self.assignment[slot]);
-            }
-            let list: &[u32] = self.levels[d]
-                .index
-                .get(self.scratch.as_slice())
-                .map_or(&[], Vec::as_slice);
+            let level = &self.levels[d];
+            let g = match &level.edge {
+                None => 0,
+                Some(e) => e.parent_group[self.row[level.parent]] as usize,
+            };
+            let list: &[u32] = match level.start.get(g..g + 2) {
+                Some(&[from, to]) => &level.rows[from as usize..to as usize],
+                _ => &[],
+            };
             if i < list.len() {
-                let row = self.levels[d].rel.row(list[i] as usize);
-                for (c, &slot) in self.levels[d].write.iter().enumerate() {
-                    self.assignment[slot] = row[c];
+                let r = list[i] as usize;
+                for (v, &x) in level.rel.vars().iter().zip(level.rel.row(r)) {
+                    self.assignment[v.idx()] = x;
                 }
+                self.row[level.node] = r;
                 self.choice[d] = i;
                 if d + 1 == self.levels.len() {
                     return true;
@@ -1350,136 +1311,103 @@ pub fn enumerate_via_ghd(
 
 impl MaterializedBags {
     /// Consuming enumeration preprocessing (reduce the tree both ways,
-    /// then wire up the per-bag probe indexes): like
-    /// [`MaterializedBags::enumerator`] but rewrites the tree in place,
-    /// sequentially — the one-shot and differential-baseline path.
+    /// then index the reduced bags): like [`MaterializedBags::enumerator`]
+    /// but rewrites the tree in place, sequentially — the one-shot and
+    /// differential-baseline path.
     pub fn into_enumerator(mut self) -> GhdEnumerator {
+        if self.relations.is_empty() || !self.semijoin_up_in_place() {
+            return GhdEnumerator::empty();
+        }
+        // Top-down pass (parents filter children): afterwards the tree is
+        // globally consistent — every surviving row extends to a full
+        // answer.
         let MaterializedBags {
             relations,
             children,
-            parents,
             post_order,
-            root,
-            num_vars,
             ..
         } = &mut self;
-        if relations.is_empty() {
-            return GhdEnumerator::empty();
-        }
-        // Bottom-up semijoin pass (children filter parents).
-        for &u in post_order.iter() {
-            if relations[u].is_empty() {
-                return GhdEnumerator::empty();
-            }
-            for &c in &children[u] {
-                let filtered = relations[u].semijoin(&relations[c]);
-                relations[u] = Arc::new(filtered);
-                if relations[u].is_empty() {
-                    return GhdEnumerator::empty();
-                }
-            }
-        }
-        // Top-down pass (parents filter children): afterwards the tree is
-        // globally consistent — every surviving row extends to a full answer.
         for &u in post_order.iter().rev() {
             for &c in &children[u] {
                 let filtered = relations[c].semijoin(&relations[u]);
                 relations[c] = Arc::new(filtered);
             }
         }
-        build_enumerator(
-            std::mem::take(relations),
-            children,
-            parents,
-            *root,
-            *num_vars,
-        )
+        // The relations changed under any cached edge index: start over
+        // (the warm passes then find nothing left to drop).
+        self.edges = fresh_edges(self.relations.len());
+        self.enumerator()
     }
-}
 
-/// Wire up a [`GhdEnumerator`] over an already fully semijoin-reduced
-/// bag tree: covered-variable check, pre-order, per-bag parent-key
-/// probe indexes. Shared by the overlay path
-/// ([`MaterializedBags::enumerator`]) and the consuming path
-/// ([`MaterializedBags::into_enumerator`]); `relations` holds the
-/// reduced relation of every node (untouched nodes as shared `Arc`s).
-fn build_enumerator(
-    relations: Vec<Arc<FlatRelation>>,
-    children: &[Vec<usize>],
-    parents: &[usize],
-    root: usize,
-    num_vars: usize,
-) -> GhdEnumerator {
-    // Every variable must be carried by some bag; a variable outside all
-    // bags (possible only for degenerate hand-built inputs) cannot be
-    // assigned, so — like the naive enumerator — there are no answers.
-    let mut covered = vec![false; num_vars];
-    for rel in &relations {
-        for v in rel.vars() {
-            covered[v.idx()] = true;
+    /// Wire up a [`GhdEnumerator`] over a bottom-up reduced tree whose
+    /// surviving rows are `live`: covered-variable check,
+    /// pre-order, and per bag its live rows sorted by group id on the
+    /// edge to its parent (a counting sort, so each group lists its rows
+    /// in ascending order).
+    fn open_enumerator(&self, live: &[LiveRows]) -> GhdEnumerator {
+        // Every variable must be carried by some bag; a variable outside
+        // all bags (possible only for degenerate hand-built inputs)
+        // cannot be assigned, so — like the naive enumerator — there are
+        // no answers.
+        let mut covered = vec![false; self.num_vars];
+        for rel in &self.relations {
+            for v in rel.vars() {
+                covered[v.idx()] = true;
+            }
         }
-    }
-    if covered.iter().any(|c| !c) {
-        return GhdEnumerator::empty();
-    }
-    // Pre-order over the rooted tree, parents first.
-    let mut pre_order = Vec::with_capacity(relations.len());
-    let mut stack = vec![root];
-    while let Some(u) = stack.pop() {
-        pre_order.push(u);
-        stack.extend(children[u].iter().copied());
-    }
-    // Each bag relation's columns are exactly its bag's variables,
-    // so parent-shared variables can be read off the relations.
-    let bag_slots: Vec<Vec<usize>> = relations
-        .iter()
-        .map(|r| r.vars().iter().map(|v| v.idx()).collect())
-        .collect();
-    // By the running-intersection property, every variable of bag `u`
-    // already assigned by an earlier (pre-order) bag also lives in `u`'s
-    // parent bag, so indexing each bag by its parent-shared columns is
-    // enough to keep the walk consistent.
-    let levels: Vec<EnumLevel> = pre_order
-        .iter()
-        .map(|&u| {
-            let rel = Arc::clone(&relations[u]);
-            let write: Vec<usize> = rel.vars().iter().map(|v| v.idx()).collect();
-            let parent_slots: &[usize] = if parents[u] == usize::MAX {
-                &[]
-            } else {
-                &bag_slots[parents[u]]
-            };
-            let key_cols: Vec<usize> = (0..rel.arity())
-                .filter(|&c| parent_slots.contains(&rel.vars()[c].idx()))
-                .collect();
-            let key_slots: Vec<usize> = key_cols.iter().map(|&c| rel.vars()[c].idx()).collect();
-            let mut index: HashMap<Box<[u64]>, Vec<u32>> = HashMap::with_capacity(rel.len());
-            let mut scratch: Vec<u64> = Vec::with_capacity(key_cols.len());
-            for (i, t) in rel.iter().enumerate() {
-                scratch.clear();
-                scratch.extend(key_cols.iter().map(|&c| t[c]));
-                match index.get_mut(scratch.as_slice()) {
-                    Some(bucket) => bucket.push(i as u32),
-                    None => {
-                        index.insert(scratch.as_slice().into(), vec![i as u32]);
-                    }
+        if covered.iter().any(|c| !c) {
+            return GhdEnumerator::empty();
+        }
+        // Pre-order over the rooted tree, parents first.
+        let n = self.relations.len();
+        let mut pre_order = Vec::with_capacity(n);
+        let mut stack = vec![self.root];
+        while let Some(u) = stack.pop() {
+            pre_order.push(u);
+            stack.extend(self.children[u].iter().copied());
+        }
+        // By the running-intersection property, every variable of bag
+        // `u` already assigned by an earlier (pre-order) bag also lives
+        // in `u`'s parent bag, so the parent's chosen row — through its
+        // group on the edge — pins down `u`'s candidate rows.
+        let levels: Vec<EnumLevel> = pre_order
+            .iter()
+            .map(|&u| {
+                let rel = Arc::clone(&self.relations[u]);
+                let p = self.parents[u];
+                let edge = (p != usize::MAX).then(|| Arc::clone(self.edge(u)));
+                let group = |r: usize| edge.as_ref().map_or(0, |e| e.child_group[r] as usize);
+                let groups = edge.as_ref().map_or(1, |e| e.groups());
+                let mut start = vec![0u32; groups + 1];
+                live[u].for_each(rel.len(), |r| start[group(r) + 1] += 1);
+                for g in 0..groups {
+                    start[g + 1] += start[g];
                 }
-            }
-            EnumLevel {
-                rel,
-                write,
-                key_slots,
-                index,
-            }
-        })
-        .collect();
-    GhdEnumerator {
-        choice: vec![0; levels.len()],
-        levels,
-        assignment: vec![0; num_vars],
-        scratch: Vec::new(),
-        started: false,
-        done: false,
+                let mut fill = start.clone();
+                let mut rows = vec![0u32; live[u].count];
+                live[u].for_each(rel.len(), |r| {
+                    let g = group(r);
+                    rows[fill[g] as usize] = r as u32;
+                    fill[g] += 1;
+                });
+                EnumLevel {
+                    node: u,
+                    parent: p,
+                    rel,
+                    edge,
+                    start,
+                    rows,
+                }
+            })
+            .collect();
+        GhdEnumerator {
+            choice: vec![0; levels.len()],
+            row: vec![0; n],
+            levels,
+            assignment: vec![0; self.num_vars],
+            started: false,
+            done: false,
+        }
     }
 }
 
@@ -1749,6 +1677,62 @@ mod tests {
         db.insert_all("S", &[vec![7], vec![8]]);
         assert_eq!(count_naive(&q, &db), 6);
         assert_eq!(count_auto(&q, &db), 6);
+    }
+
+    /// The plain recipe: join everything onto `unit()`, project, then
+    /// join every assigned atom.
+    fn reference_bag(recipe: &BagRecipe, bound: &[FlatRelation]) -> FlatRelation {
+        let mut rel = FlatRelation::unit();
+        for &ai in &recipe.cover_atoms {
+            rel = rel.join(&bound[ai]);
+        }
+        let keep: Vec<Var> = (recipe.bag_vars.iter().copied())
+            .filter(|v| rel.vars().contains(v))
+            .collect();
+        rel = rel.project(&keep);
+        for &ai in &recipe.assigned_atoms {
+            rel = rel.join(&bound[ai]);
+        }
+        rel
+    }
+
+    #[test]
+    fn materialize_bag_matches_join_everything_reference() {
+        // A triangle R, S, T plus U parallel to R.
+        let q = ConjunctiveQuery::parse(&[
+            ("R", &["?x", "?y"]),
+            ("S", &["?y", "?z"]),
+            ("T", &["?z", "?x"]),
+            ("U", &["?x", "?y"]),
+        ]);
+        let db = random_database(&q, 5, 40, 3);
+        let bound: Vec<FlatRelation> = q.atoms.iter().map(|a| FlatRelation::bind(a, &db)).collect();
+        let (x, y, z) = (Var(0), Var(1), Var(2));
+        let recipe = |cover: &[usize], bag: &[Var], assigned: &[usize]| BagRecipe {
+            cover_atoms: cover.to_vec(),
+            bag_vars: bag.to_vec(),
+            assigned_atoms: assigned.to_vec(),
+        };
+        for r in [
+            // R is assigned and in the cover; U adds no column.
+            recipe(&[0], &[x, y], &[0, 3]),
+            // T is covered by R ⋈ S but not in the cover.
+            recipe(&[0, 1], &[x, y, z], &[2]),
+            // S extends the bag past its cover's columns.
+            recipe(&[0], &[x, y, z], &[1]),
+            // The cover reaches outside the bag and is projected.
+            recipe(&[0, 1], &[y, z], &[1]),
+        ] {
+            assert_eq!(
+                materialize_bag(&r, |ai| &bound[ai]),
+                reference_bag(&r, &bound)
+            );
+        }
+        let ghd = ghw_decomposition(&q.hypergraph()).unwrap();
+        let bags = MaterializedBags::build(&q, &db, &ghd).unwrap();
+        for (u, r) in bags.recipes.iter().enumerate() {
+            assert_eq!(**bags.bag_arc(u), reference_bag(r, &bound), "bag {u}");
+        }
     }
 
     /// Three-atom chain: R–S–T decomposes into a multi-bag tree, so a

@@ -20,8 +20,7 @@
 //!   branch-free, autovectorization-friendly loop), records survivors in
 //!   a selection bitmask, and only then materializes output rows — and
 //!   returns `None` when *every* row survives, so unchanged inputs are
-//!   never copied at all (the enabler of the bag-tree overlay's
-//!   copy-free warm runs);
+//!   never copied at all;
 //! - runs the sort-based dedup **only where an operator can introduce
 //!   duplicates**: binding an atom that drops positions (constants or
 //!   repeated variables) and projections that drop columns. Joins and
@@ -334,8 +333,8 @@ impl FlatRelation {
 
     /// Chunked semijoin filter: `Some(filtered)` with the surviving rows,
     /// or **`None` when every row survives** — the caller can keep using
-    /// `self` unchanged, paying no copy (the bag-tree overlay's warm runs
-    /// live on this).
+    /// `self` unchanged, paying no copy (bag materialization's
+    /// filter-only atom joins live on this).
     ///
     /// The filter runs in fixed-size chunks: key columns are gathered and
     /// hashed in a branch-free loop, survivors recorded in a selection
@@ -365,8 +364,7 @@ impl FlatRelation {
 
     /// [`FlatRelation::semijoin_filter`] against a prebuilt probe table
     /// (`table` keyed on the build side's shared columns, `self_key` the
-    /// matching columns of `self`, same variable order). Lets tree passes
-    /// reuse one table across runs when the build side is unchanged.
+    /// matching columns of `self`, same variable order).
     pub(crate) fn semijoin_filter_with(
         &self,
         table: &KeyTable,

@@ -1,10 +1,9 @@
 //! Purpose-built probe tables for the columnar kernel's hot paths.
 //!
 //! The std `HashMap`/`HashSet` used by the first kernel iteration spend
-//! most of a semijoin in SipHash and bucket metadata; on the warm
-//! re-execution path (prepared queries re-running tree passes over an
-//! unchanged bag tree) the hash probes *are* the whole pass. These two
-//! tables trade generality for probe speed:
+//! most of a semijoin in SipHash and bucket metadata; on the kernel's
+//! join and semijoin paths the hash probes *are* the whole operator.
+//! These two tables trade generality for probe speed:
 //!
 //! - [`KeyTable`]: a chained hash table over the key columns of a
 //!   [`FlatRelation`]. Buckets are a power-of-two `u32` head array,
@@ -16,10 +15,11 @@
 //!   reverse so each chain yields ascending row ids — match order (and
 //!   therefore join output order) is identical to the insertion-order
 //!   `HashMap` it replaces.
-//! - [`AggTable`]: an open-addressing `key → u128 sum` map for the
-//!   counting DP's child aggregation. Capacity is fixed at build time
-//!   (distinct keys ≤ build rows, load factor ≤ ½), so inserts never
-//!   resize and probes are a linear scan over a flat slot array.
+//! - [`KeyGroups`]: an open-addressing `key → dense group id` map, the
+//!   hash side of the bag tree's per-edge join indexes. Capacity is
+//!   fixed at build time (distinct keys ≤ build rows, load factor ≤ ½),
+//!   so inserts never resize and probes are a linear scan over a flat
+//!   slot array.
 //!
 //! Both verify candidates by comparing the actual key columns, so hash
 //! collisions cost a compare, never a wrong answer. A zero-column key
@@ -62,9 +62,7 @@ pub(crate) fn hash_key(key: &[u64]) -> u64 {
 }
 
 /// Chained hash table over the key columns of a relation: the build side
-/// of semijoin/join probes. Self-contained (key columns are copied in),
-/// so a cached table stays valid as long as the relation it was built
-/// from is unchanged — the bag-tree overlay caches one per node.
+/// of semijoin/join probes. Self-contained: key columns are copied in.
 #[derive(Debug, Clone)]
 pub(crate) struct KeyTable {
     /// Key width (columns per key).
@@ -180,87 +178,95 @@ impl Iterator for Matches<'_, '_> {
     }
 }
 
-/// Open-addressing `key → u128 sum` map for the counting DP: aggregate
-/// child-row extension counts by parent-shared key, then probe from the
-/// parent side. Capacity is fixed at build (`2 * rows` slots, load ≤ ½),
-/// so [`AggTable::add`] never resizes.
+/// Open-addressing `key → dense group id` map: the hash side of a
+/// bag-tree edge's join index. Building it numbers the distinct keys of
+/// a relation's key columns `0, 1, …` in first-occurrence order;
+/// probing maps a key to its group. Capacity is fixed at build
+/// (`2 * rows` slots, load ≤ ½), so inserts never resize.
 #[derive(Debug, Clone)]
-pub(crate) struct AggTable {
+pub(crate) struct KeyGroups {
     k: usize,
     mask: u64,
-    /// `slots[hash & mask]` → entry index (EMPTY = vacant), linear probing.
+    /// `slots[hash & mask]` → group id (EMPTY = vacant), linear probing.
     slots: Vec<u32>,
-    /// Packed entry keys, `entries * k` values.
+    /// Packed group keys, `groups * k` values.
     keys: Vec<u64>,
-    /// Per-entry sums, aligned with `keys`.
-    sums: Vec<u128>,
+    /// Number of groups.
+    groups: usize,
 }
 
-impl AggTable {
-    /// Aggregate `rel`'s rows by `key_cols`, summing `counts` (`None` =
-    /// every row counts 1 — the leaf-bag case, which is what makes the
-    /// table cacheable per leaf).
-    pub(crate) fn build(
-        rel: &FlatRelation,
-        key_cols: &[usize],
-        counts: Option<&[u128]>,
-    ) -> AggTable {
+impl KeyGroups {
+    /// Group `rel`'s rows by `key_cols`: the table plus each row's group
+    /// id, aligned with `rel`'s row order.
+    pub(crate) fn build(rel: &FlatRelation, key_cols: &[usize]) -> (KeyGroups, Vec<u32>) {
         let n = rel.len();
         crate::flat::check_row_index_fits(n);
         let k = key_cols.len();
         let buckets = (n.max(1) * 2).next_power_of_two();
-        let mut table = AggTable {
+        let mut table = KeyGroups {
             k,
             mask: buckets as u64 - 1,
             slots: vec![EMPTY; buckets],
             keys: Vec::new(),
-            sums: Vec::new(),
+            groups: 0,
         };
-        let arity = rel.arity();
         let mut scratch = vec![0u64; k];
-        for i in 0..n {
-            let row = &rel.data[i * arity..i * arity + arity];
-            for (t, &c) in key_cols.iter().enumerate() {
-                scratch[t] = row[c];
-            }
-            table.add(&scratch, counts.map_or(1, |c| c[i]));
-        }
-        table
+        let row_group = rel
+            .iter()
+            .map(|row| {
+                for (s, &c) in scratch.iter_mut().zip(key_cols) {
+                    *s = row[c];
+                }
+                table.insert(&scratch)
+            })
+            .collect();
+        (table, row_group)
     }
 
-    /// Add `count` to the sum for `key` (inserting if new).
-    fn add(&mut self, key: &[u64], count: u128) {
-        let mut b = (hash_key(key) & self.mask) as usize;
-        loop {
-            let e = self.slots[b];
-            if e == EMPTY {
-                self.slots[b] = (self.sums.len()) as u32;
-                self.keys.extend_from_slice(key);
-                self.sums.push(count);
-                return;
-            }
-            let o = e as usize * self.k;
-            if &self.keys[o..o + self.k] == key {
-                self.sums[e as usize] += count;
-                return;
-            }
-            b = (b + 1) & self.mask as usize;
-        }
+    /// Number of distinct keys (groups).
+    pub(crate) fn len(&self) -> usize {
+        self.groups
     }
 
-    /// The aggregated sum for `key`, if any build row had it.
+    /// The group of `key`, if any build row had it.
     #[inline]
-    pub(crate) fn get(&self, key: &[u64]) -> Option<u128> {
-        debug_assert_eq!(key.len(), self.k);
-        let mut b = (hash_key(key) & self.mask) as usize;
-        loop {
-            let e = self.slots[b];
-            if e == EMPTY {
-                return None;
+    pub(crate) fn get(&self, key: &[u64]) -> Option<u32> {
+        self.find(key).ok()
+    }
+
+    /// The group of `key`, numbering it as a new group if unseen.
+    fn insert(&mut self, key: &[u64]) -> u32 {
+        match self.find(key) {
+            Ok(g) => g,
+            Err(slot) => {
+                let g = self.groups as u32;
+                self.slots[slot] = g;
+                self.keys.extend_from_slice(key);
+                self.groups += 1;
+                g
             }
-            let o = e as usize * self.k;
+        }
+    }
+
+    /// Linear-probe for `key`: `Ok(group)`, or `Err(slot)` — the vacant
+    /// slot it would take. Single-column keys hash through [`hash1`].
+    #[inline]
+    fn find(&self, key: &[u64]) -> Result<u32, usize> {
+        debug_assert_eq!(key.len(), self.k);
+        let hash = if self.k == 1 {
+            hash1(key[0])
+        } else {
+            hash_key(key)
+        };
+        let mut b = (hash & self.mask) as usize;
+        loop {
+            let g = self.slots[b];
+            if g == EMPTY {
+                return Err(b);
+            }
+            let o = g as usize * self.k;
             if &self.keys[o..o + self.k] == key {
-                return Some(self.sums[e as usize]);
+                return Ok(g);
             }
             b = (b + 1) & self.mask as usize;
         }
@@ -336,28 +342,26 @@ mod tests {
     }
 
     #[test]
-    fn agg_table_sums_counts_by_key() {
-        let r = rel(&[0, 1], &[&[1, 10], &[1, 11], &[2, 20]]);
-        // All-ones counts: multiplicity per key.
-        let a = AggTable::build(&r, &[0], None);
-        assert_eq!(a.get(&[1]), Some(2));
-        assert_eq!(a.get(&[2]), Some(1));
-        assert_eq!(a.get(&[3]), None);
-        // Explicit counts aggregate by sum.
-        let b = AggTable::build(&r, &[0], Some(&[5, 7, 11]));
-        assert_eq!(b.get(&[1]), Some(12));
-        assert_eq!(b.get(&[2]), Some(11));
-        // Zero-column key aggregates everything.
-        let c = AggTable::build(&r, &[], Some(&[5, 7, 11]));
-        assert_eq!(c.get(&[]), Some(23));
-    }
-
-    #[test]
-    fn agg_table_empty_relation() {
+    fn key_groups_number_keys_densely_in_first_occurrence_order() {
+        // Sorted by dedup: [1,10], [1,11], [2,20], [3,30].
+        let r = rel(&[0, 1], &[&[1, 10], &[2, 20], &[1, 11], &[3, 30]]);
+        let (g, rows) = KeyGroups::build(&r, &[0]);
+        assert_eq!(
+            (rows, g.len(), g.get(&[2]), g.get(&[4])),
+            (vec![0, 0, 1, 2], 3, Some(1), None)
+        );
+        // Multi-column keys compare every column: (1,2) ≠ (2,1).
+        let m = rel(&[0, 1, 2], &[&[1, 2, 7], &[2, 1, 8], &[1, 2, 9]]);
+        let (g, rows) = KeyGroups::build(&m, &[0, 1]);
+        assert_eq!(
+            (rows, g.get(&[2, 1]), g.get(&[2, 2])),
+            (vec![0, 0, 1], Some(1), None)
+        );
+        // Zero-column key: every row lands in group 0 (vacuous sharing).
+        let (g, rows) = KeyGroups::build(&r, &[]);
+        assert_eq!((rows, g.get(&[])), (vec![0; 4], Some(0)));
         let e = FlatRelation::empty(vec![Var(0)]);
-        let a = AggTable::build(&e, &[0], None);
-        assert_eq!(a.get(&[1]), None);
-        let a0 = AggTable::build(&e, &[], None);
-        assert_eq!(a0.get(&[]), None);
+        let (g, rows) = KeyGroups::build(&e, &[]);
+        assert!(rows.is_empty() && g.len() == 0 && g.get(&[]).is_none());
     }
 }

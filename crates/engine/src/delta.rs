@@ -23,8 +23,9 @@
 //! - **Prepared handles**: [`crate::PreparedQuery::rebase`] migrates a
 //!   warm handle onto the new snapshot by refreshing only the bag-tree
 //!   nodes whose source relations the delta touched
-//!   ([`cqd2_cq::MaterializedBags::refresh`]); clean bags — and their
-//!   filled probe-table caches — are shared with the old tree by `Arc`.
+//!   ([`cqd2_cq::MaterializedBags::refresh`]); clean bags — and the
+//!   join indexes of edges between clean bags — are shared with the old
+//!   tree by `Arc`.
 //!   Responses from a maintained handle carry a [`MaintenanceClass`] in
 //!   their provenance: [`MaintenanceClass::WarmOverlay`] when the bag
 //!   tree was refreshed in place, [`MaintenanceClass::RePrepared`] when
@@ -75,7 +76,7 @@ use crate::textio;
 pub enum MaintenanceClass {
     /// The handle's materialized bag tree was refreshed in place: only
     /// the bags reading a touched relation were re-materialized, clean
-    /// bags and their probe-table caches were shared by `Arc`.
+    /// bags and the join indexes between them were shared by `Arc`.
     WarmOverlay,
     /// The handle was rebuilt from scratch (full plan resolution + bag
     /// materialization) — the fallback when there is no bag tree to

@@ -166,9 +166,9 @@ impl Answer {
 /// How a run executed against its materialized bag tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BagMode {
-    /// Copy-free overlay passes over the shared, reusable
-    /// materialization: only rewritten nodes were copied
-    /// ([`crate::PreparedQuery::run`] and cursors).
+    /// Copy-free passes over the shared, reusable materialization:
+    /// live-row bitmasks over cached per-edge join indexes, no bag
+    /// copied or hashed ([`crate::PreparedQuery::run`] and cursors).
     Overlay,
     /// Consuming in-place passes over a tree this run owned (one-shot
     /// paths like [`Engine::serve`]): every node is the run's own copy.
@@ -186,14 +186,15 @@ impl BagMode {
 }
 
 /// How a run touched the materialized bag tree: execution mode plus the
-/// rewrite sparsity of its tree passes. Absent for naive-join plans,
+/// shrink sparsity of its tree passes. Absent for naive-join plans,
 /// which have no bag tree. `bags_rewritten = 0` under [`BagMode::Overlay`]
-/// is the ideal warm case — the run was pure probing, no copies at all.
+/// means no semijoin dropped a row: the data was join-consistent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BagExecution {
     /// Overlay (copy-free) or cloned (consuming) execution.
     pub mode: BagMode,
-    /// Bag nodes the run's tree passes rewrote (copied + filtered).
+    /// Bag nodes whose live row set the run's tree passes shrank (under
+    /// [`BagMode::Cloned`]: every node, each one the run's own copy).
     pub bags_rewritten: usize,
     /// Bag nodes in the materialized tree.
     pub bags_total: usize,

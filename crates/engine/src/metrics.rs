@@ -27,6 +27,7 @@
 //! per-database latency merged into a server-wide view) and queried for
 //! [`quantile`](Snapshot::quantile), mean, and exact max.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -207,7 +208,11 @@ impl Histogram {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        // The max only grows, so a plain load can rule out most updates
+        // without the read-modify-write.
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     /// Records a duration as whole microseconds (saturating at
@@ -381,21 +386,41 @@ pub struct Span {
     /// Wall-clock time spent in the phase.
     pub duration: Duration,
     /// Optional human-readable annotation (e.g. the chosen plan
-    /// strategy and cache provenance for [`Phase::Plan`]).
-    pub detail: Option<String>,
+    /// strategy and cache provenance for [`Phase::Plan`]). Static
+    /// annotations are borrowed, so recording one allocates nothing.
+    pub detail: Option<Cow<'static, str>>,
 }
 
 /// A lightweight per-query span recorder threaded through the serve
 /// path.
 ///
-/// Recording is a `Vec` push — no clocks are read by the trace itself;
-/// callers measure each phase where it happens and hand in the
-/// duration. Traces attach to wire responses when the client requests
-/// them (`@trace`); the per-query latency histograms are populated
-/// whether or not anyone is tracing.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Recording writes into inline storage (one slot per [`Phase`], as the
+/// serve path records each phase once), so it allocates nothing, and no
+/// clocks are read by the trace itself; callers measure each phase
+/// where it happens and hand in the duration. Traces attach to wire
+/// responses when the client requests them (`@trace`); the per-query
+/// latency histograms are populated whether or not anyone is tracing.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryTrace {
-    spans: Vec<Span>,
+    /// Recorded spans are `spans[..len]`.
+    spans: [Span; MAX_SPANS],
+    len: usize,
+}
+
+/// Spans a [`QueryTrace`] holds: one per [`Phase`].
+const MAX_SPANS: usize = 6;
+
+impl Default for QueryTrace {
+    fn default() -> Self {
+        QueryTrace {
+            spans: std::array::from_fn(|_| Span {
+                phase: Phase::QueueWait,
+                duration: Duration::ZERO,
+                detail: None,
+            }),
+            len: 0,
+        }
+    }
 }
 
 impl QueryTrace {
@@ -404,9 +429,18 @@ impl QueryTrace {
         QueryTrace::default()
     }
 
+    /// Append `span`; a span beyond [`MAX_SPANS`] is dropped.
+    fn push(&mut self, span: Span) {
+        debug_assert!(self.len < MAX_SPANS, "more spans than phases");
+        if let Some(slot) = self.spans.get_mut(self.len) {
+            *slot = span;
+            self.len += 1;
+        }
+    }
+
     /// Records a phase with no annotation.
     pub fn record(&mut self, phase: Phase, duration: Duration) {
-        self.spans.push(Span {
+        self.push(Span {
             phase,
             duration,
             detail: None,
@@ -414,8 +448,13 @@ impl QueryTrace {
     }
 
     /// Records a phase with an annotation.
-    pub fn record_with(&mut self, phase: Phase, duration: Duration, detail: impl Into<String>) {
-        self.spans.push(Span {
+    pub fn record_with(
+        &mut self,
+        phase: Phase,
+        duration: Duration,
+        detail: impl Into<Cow<'static, str>>,
+    ) {
+        self.push(Span {
             phase,
             duration,
             detail: Some(detail.into()),
@@ -424,13 +463,13 @@ impl QueryTrace {
 
     /// The recorded spans, in recording order.
     pub fn spans(&self) -> &[Span] {
-        &self.spans
+        &self.spans[..self.len]
     }
 
     /// Sum of all span durations. Because phases are disjoint
     /// sub-intervals, this is ≤ the request's total server time.
     pub fn total(&self) -> Duration {
-        self.spans.iter().map(|s| s.duration).sum()
+        self.spans().iter().map(|s| s.duration).sum()
     }
 }
 

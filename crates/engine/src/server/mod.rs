@@ -300,12 +300,12 @@ struct DbMetrics {
     overloads: Counter,
     prepared_hits: Counter,
     prepared_misses: Counter,
-    /// Bag nodes the overlay tree passes rewrote (copied + filtered),
-    /// summed over every answered GHD-plan query.
+    /// Bag nodes whose live row set a tree pass shrank, summed over
+    /// every answered GHD-plan query.
     bags_rewritten: Counter,
     /// Bag nodes those passes visited in total; `rewritten / total` is
-    /// the production overlay-sparsity ratio (0 = ideal warm serving:
-    /// every run was pure probing over the shared materialization).
+    /// the production shrink ratio (0 = every run found the shared
+    /// materialization join-consistent).
     bags_total: Counter,
     /// Delta batches successfully merged into this database.
     delta_batches: Counter,
@@ -420,12 +420,12 @@ pub struct ServerStats {
     /// file was missing, unreadable, corrupt, or version-skewed (the
     /// old epoch kept serving every time).
     pub store_errors: u64,
-    /// Bag nodes rewritten (copied + filtered) by overlay tree passes
-    /// across all answered GHD-plan queries.
+    /// Bag nodes whose live row set a tree pass shrank, across all
+    /// answered GHD-plan queries.
     pub bags_rewritten: u64,
     /// Bag nodes visited by those passes in total. The ratio
-    /// `bags_rewritten / bags_total` is the serving fleet's overlay
-    /// sparsity; 0 means every warm run was copy-free.
+    /// `bags_rewritten / bags_total` is the serving fleet's shrink
+    /// ratio; 0 means no semijoin dropped a row.
     pub bags_total: u64,
     /// Successful `Delta` frame applications (structural-sharing epoch
     /// publications).
@@ -972,8 +972,8 @@ fn execute_job(job: Job<'_>, metrics: &ServerMetrics, sequential_bags: bool) {
             None if sequential_bags => with_sequential_bags(|| prepared.run(item.workload)),
             None => prepared.run(item.workload),
         };
-        // Overlay-sparsity accounting: how much of the prepared bag
-        // tree this run had to copy (0 rewritten = fully copy-free).
+        // Shrink accounting: how many nodes of the prepared bag tree
+        // this run's semijoins narrowed (0 = join-consistent data).
         if let Some(bags) = &resp.provenance.bags {
             metrics
                 .totals

@@ -122,7 +122,7 @@ impl WireTrace {
             .map(|s| WireSpan {
                 phase: s.phase.name().to_string(),
                 micros: u64::try_from(s.duration.as_micros()).unwrap_or(u64::MAX),
-                detail: s.detail.clone(),
+                detail: s.detail.as_deref().map(str::to_owned),
             })
             .collect();
         WireTrace {
@@ -352,11 +352,11 @@ pub struct WireDbStats {
     pub prepared_hits: u64,
     /// Prepared-query cache misses.
     pub prepared_misses: u64,
-    /// Bag nodes rewritten (copied + filtered) by overlay tree passes
-    /// over this database's prepared bag trees.
+    /// Bag nodes whose live row set a tree pass shrank, over this
+    /// database's prepared bag trees.
     pub bags_rewritten: u64,
     /// Bag nodes those passes visited in total; `rewritten / total` is
-    /// this database's overlay sparsity (0 = fully copy-free serving).
+    /// this database's shrink ratio (0 = join-consistent bag trees).
     pub bags_total: u64,
     /// Delta batches successfully applied to this database.
     pub delta_batches: u64,
@@ -412,7 +412,7 @@ pub struct WireStats {
     /// `Reload { path }` frames rejected with `Store` (bad snapshot
     /// file; the old epoch kept serving).
     pub store_errors: u64,
-    /// Bag nodes rewritten by overlay tree passes (all databases).
+    /// Bag nodes whose live row set a tree pass shrank (all databases).
     pub bags_rewritten: u64,
     /// Bag nodes visited by those passes in total (all databases).
     pub bags_total: u64,

@@ -196,7 +196,15 @@ impl Session {
     /// # Ok::<(), cqd2_engine::EngineError>(())
     /// ```
     pub fn prepare(&self, q: &ConjunctiveQuery) -> Result<PreparedQuery, EngineError> {
-        let core = PreparedCore::build(&self.engine, q, self.db(), self.stats(), self.db_name())?;
+        let mut core =
+            PreparedCore::build(&self.engine, q, self.db(), self.stats(), self.db_name())?;
+        // A handle is prepared to be run warm: its edge join indexes are
+        // per-handle preprocessing, so runs never hash.
+        if let Some(bags) = &core.bags {
+            let start = Instant::now();
+            bags.index_edges();
+            core.preprocessing += start.elapsed();
+        }
         Ok(PreparedQuery {
             snapshot: Arc::clone(&self.snapshot),
             core,
@@ -303,7 +311,8 @@ impl PreparedCore {
     /// Warm-maintain this core across a delta: refresh the bag tree
     /// against the post-delta `db`, re-materializing only the bags that
     /// read a relation in `touched` and sharing everything else (bag
-    /// relations *and* filled probe-table caches) with `self` by `Arc`.
+    /// relations *and* the join indexes between clean bags) with `self`
+    /// by `Arc`.
     /// `None` when there is no bag tree to refresh (naive-join plans) —
     /// the caller should fall back to a full prepare.
     pub(crate) fn rebase_warm(
@@ -339,9 +348,9 @@ impl PreparedCore {
     }
 
     /// Execute for `workload` against `db` (which must be the database
-    /// the core was built from) through a [`cqd2_cq::eval::BagOverlay`]:
-    /// the shared bag tree is never cloned — the pass copies only the
-    /// nodes it rewrites, and provenance reports how many that was.
+    /// the core was built from): the shared bag tree is never cloned or
+    /// re-hashed — the passes run over live-row bitmasks on its cached
+    /// edge join indexes, and provenance reports how many nodes shrank.
     fn run(&self, db: &Database, workload: Workload) -> Response {
         let exec_start = Instant::now();
         let (answer, pass) = match workload {
@@ -415,8 +424,8 @@ impl PreparedCore {
         self.cursor_with_stats(db, limit).0
     }
 
-    /// Open a cursor plus — on the GHD route — the overlay reduction's
-    /// rewrite sparsity (`None` on the naive route).
+    /// Open a cursor plus — on the GHD route — the reduction's shrink
+    /// sparsity (`None` on the naive route).
     fn cursor_with_stats(
         &self,
         db: &Database,
@@ -528,10 +537,10 @@ impl PreparedQuery {
     /// Execute the prepared plan for `workload`. No planning happens
     /// here — provenance carries the resolved plan with a zero planning
     /// duration (see [`PreparedQuery::planning_time`] for the cost paid
-    /// at prepare time). GHD passes run **copy-free** through an overlay
-    /// over the shared materialized bag tree: only the nodes a pass
-    /// rewrites are copied (provenance's `bags` field reports how many),
-    /// and on join-consistent data warm runs copy nothing at all.
+    /// at prepare time). GHD passes run **copy-free** over the shared
+    /// materialized bag tree: they narrow per-node live-row bitmasks
+    /// over cached edge join indexes and never copy or hash a bag
+    /// (provenance's `bags` field reports how many nodes shrank).
     ///
     /// `Enumerate` materializes up to `limit` answers into
     /// [`Answer::Tuples`]; use [`PreparedQuery::cursor`] to stream
@@ -544,7 +553,8 @@ impl PreparedQuery {
     /// `execute` span — annotated with the strategy that ran — into
     /// `trace`. This is the engine-level half of the serve path's
     /// per-query tracing; the span is built from provenance the run
-    /// already measures, so the instrumentation adds only a `Vec` push
+    /// already measures, so the instrumentation adds only an inline
+    /// slot write
     /// (`benches/engine_metrics_overhead.rs` gates the warm path
     /// within 5% of [`PreparedQuery::run`]).
     pub fn run_traced(&self, workload: Workload, trace: &mut QueryTrace) -> Response {
@@ -568,11 +578,11 @@ impl PreparedQuery {
     /// Open a streaming [`AnswerCursor`] over `q(D)`, yielding at most
     /// `limit` answers (`None` = all).
     ///
-    /// On the GHD route this runs the semijoin reduction through an
-    /// overlay over the already-materialized bag tree now (bags the
-    /// reduction leaves untouched are shared with the handle by `Arc`,
-    /// not copied — any number of concurrent cursors pin one tree), and
-    /// then delivers answers with constant delay; on the naive route the
+    /// On the GHD route this runs the semijoin reduction over the
+    /// already-materialized bag tree now (as live-row bitmasks; every
+    /// bag is shared with the handle by `Arc`, not copied — any number
+    /// of concurrent cursors pin one tree), and then delivers answers
+    /// with constant delay; on the naive route the
     /// backtracking search runs eagerly (stopping at `limit`) and the
     /// cursor drains the buffer. Either way the cursor is
     /// self-contained: it stays valid (and keeps streaming the pinned
@@ -607,9 +617,9 @@ impl PreparedQuery {
     /// to the post-delta `snapshot` by refreshing this handle's bag
     /// tree in place — only the bags reading a relation in `touched`
     /// (the names [`crate::Catalog::apply_delta`] reports) are
-    /// re-materialized; clean bags and their filled probe-table caches
-    /// are shared with this handle by `Arc`, so the migrated handle
-    /// starts as warm as this one. Plans are carried over unchanged
+    /// re-materialized; clean bags and the join indexes between them are
+    /// shared with this handle by `Arc`, so the migrated handle starts
+    /// as warm as this one. Plans are carried over unchanged
     /// (the structure did not move; only the data did).
     ///
     /// Returns the migrated handle plus the maintenance sparsity (how

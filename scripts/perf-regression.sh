@@ -18,6 +18,10 @@
 #   engine_delta             small-delta publish ≥ 5× text full reload
 #                            on a ≥ 1e5-row database; warm prepared
 #                            re-execution after a delta ≥ 2× re-prepare
+#   engine_serve_concurrent  concurrent socket serving ≥ 1.5× sequential
+#                            1-worker execute_batch
+#   engine_plan_cache        warm cached-plan batch beats cold per-query
+#                            decomposition (ratio > 1)
 #
 # Gated benches print one machine-parsable line per gate:
 #   GATE <name> ratio=<measured> floor=<bound> cmp=<ge|le> status=PASS
@@ -34,7 +38,7 @@
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-GATES=(relation_ops engine_prepared engine_catalog engine_overlay engine_metrics_overhead engine_snapshot engine_delta)
+GATES=(relation_ops engine_prepared engine_catalog engine_overlay engine_metrics_overhead engine_snapshot engine_delta engine_serve_concurrent engine_plan_cache)
 if [ "$#" -gt 0 ]; then
   GATES=("$@")
 fi
