@@ -19,9 +19,9 @@
 //!   clone baseline, with provenance reporting `overlay` mode and zero
 //!   shrunk bags.
 
-use cqd2::cq::{with_sequential_bags, ConjunctiveQuery, Database, MaterializedBags};
+use cqd2::cq::{ConjunctiveQuery, Database, MaterializedBags};
 use cqd2::decomp::{Ghd, TreeDecomposition};
-use cqd2::engine::{BagMode, Engine, Planner, PlannerConfig, Workload};
+use cqd2::engine::{BagMode, Engine, Planner, Workload};
 use cqd2::hypergraph::VertexId;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -179,11 +179,10 @@ fn bench(c: &mut Criterion) {
     // cq-level headline: warm overlay pass vs deep-clone + consuming
     // pass on the same tree (caches warmed by the run above).
     let overlay = best_of(5, || bags.bcq());
-    let seq_overlay = best_of(5, || with_sequential_bags(|| bags.bcq()));
     let cloned = best_of(5, || bags.deep_clone().into_bcq());
     let ratio = |old: Duration, new: Duration| old.as_secs_f64() / new.as_secs_f64().max(1e-9);
     println!(
-        "  bags.bcq() overlay:              {overlay:?}  (sequential passes: {seq_overlay:?})\n  deep_clone().into_bcq() baseline: {cloned:?}\n  speedup: {:.1}×",
+        "  bags.bcq() overlay:              {overlay:?}\n  deep_clone().into_bcq() baseline: {cloned:?}\n  speedup: {:.1}×",
         ratio(cloned, overlay)
     );
     assert!(
@@ -222,7 +221,7 @@ fn bench(c: &mut Criterion) {
         "warm prepared run must rewrite no bag (got {}/{})",
         exec.bags_rewritten, exec.bags_total
     );
-    let planner_ghd = Planner::new(PlannerConfig::default())
+    let planner_ghd = Planner::default()
         .plan_structure(&q.hypergraph())
         .ghd
         .expect("default planner finds a GHD for the acyclic fixture");

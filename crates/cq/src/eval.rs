@@ -271,21 +271,17 @@ pub fn with_sequential_bags<R>(f: impl FnOnce() -> R) -> R {
     })
 }
 
-/// Scoped-thread workers for a fan-out: every core once there are
-/// several independent tasks (`plural`) and their input reaches
-/// `threshold` rows, unless [`with_sequential_bags`] opted out.
-fn fan_out_workers(plural: bool, rows: usize, threshold: usize) -> usize {
-    if plural && rows >= threshold && !SEQUENTIAL_BAGS.with(std::cell::Cell::get) {
+/// Scoped-thread workers for a bag-materialization fan-out: every core
+/// once there are several bags to build (`plural`) and their input
+/// reaches [`PARALLEL_BAG_THRESHOLD`] rows, unless
+/// [`with_sequential_bags`] opted out.
+fn fan_out_workers(plural: bool, rows: usize) -> usize {
+    if plural && rows >= PARALLEL_BAG_THRESHOLD && !SEQUENTIAL_BAGS.with(std::cell::Cell::get) {
         std::thread::available_parallelism().map_or(1, |p| p.get())
     } else {
         1
     }
 }
-
-/// Total bag-tree rows below which the per-level tree passes stay
-/// sequential: scoped-thread setup costs more than the array work it
-/// would parallelize.
-const PARALLEL_PASS_THRESHOLD: usize = 1 << 15;
 
 /// Sparsity of one warm tree pass: how many bag nodes had their live
 /// row set shrunk by a semijoin, out of the tree's total. Warm prepared
@@ -421,12 +417,9 @@ impl LiveRows {
 /// over it: live-row bitmasks for the semijoins, per-group `u128` sums
 /// for the counting DP, group-sorted row lists for the enumerator. Warm
 /// re-execution (and any number of concurrent cursors) therefore shares
-/// one immutable bag tree. On trees wide and large enough to pay for
-/// thread setup, the bottom-up semijoin pass and the counting DP fan
-/// out per tree level over the scoped-thread pool (nodes at one depth
-/// never read each other). The one-shot [`bcq_via_ghd`] /
-/// [`count_via_ghd`] / [`enumerate_via_ghd`] wrappers build and consume
-/// in place instead.
+/// one immutable bag tree. Each bottom-up pass is one sequential
+/// post-order walk. The one-shot [`bcq_via_ghd`] / [`count_via_ghd`] /
+/// [`enumerate_via_ghd`] wrappers build and consume in place instead.
 ///
 /// ```
 /// use cqd2_cq::eval::MaterializedBags;
@@ -456,10 +449,6 @@ pub struct MaterializedBags {
     /// Parent of each node (`usize::MAX` at the root).
     parents: Vec<usize>,
     post_order: Vec<usize>,
-    /// Internal (non-leaf) nodes grouped by depth, the root's level
-    /// first. Nodes within a level are pairwise non-adjacent in the
-    /// tree, so per-level pass tasks touch disjoint state.
-    levels: Vec<Vec<usize>>,
     /// For each non-root node `u`: the columns of `relations[u]` whose
     /// variables also occur in the parent bag — the semijoin key, child
     /// side. Resolved once at build.
@@ -631,7 +620,7 @@ impl MaterializedBags {
         }
         let dirty_nodes: Vec<usize> = (0..n).filter(|&u| dirty_bag[u]).collect();
         let bound_tuples: usize = bound.iter().flatten().map(FlatRelation::len).sum();
-        let workers = fan_out_workers(dirty_nodes.len() > 1, bound_tuples, PARALLEL_BAG_THRESHOLD);
+        let workers = fan_out_workers(dirty_nodes.len() > 1, bound_tuples);
         let remat: Vec<FlatRelation> = crate::par::scoped_map(dirty_nodes.len(), workers, |i| {
             materialize_bag(&self.recipes[dirty_nodes[i]], |ai| {
                 bound[ai]
@@ -734,15 +723,14 @@ impl MaterializedBags {
         // ones (leaves never allocate one).
         let mut counts: Vec<Option<Vec<u128>>> = vec![None; self.relations.len()];
         let mut shrank = 0;
-        let workers = self.pass_workers();
-        for level in self.levels.iter().rev() {
-            let results = crate::par::scoped_map(level.len(), workers, |i| {
-                self.count_node(&counts, level[i])
-            });
-            for (&u, (cnt, dropped)) in level.iter().zip(results) {
-                counts[u] = Some(cnt);
-                shrank += usize::from(dropped);
-            }
+        for &u in self
+            .post_order
+            .iter()
+            .filter(|&&u| !self.children[u].is_empty())
+        {
+            let (cnt, dropped) = self.count_node(&counts, u);
+            counts[u] = Some(cnt);
+            shrank += usize::from(dropped);
         }
         let total = match &counts[self.root] {
             Some(c) => c.iter().sum(),
@@ -794,18 +782,8 @@ impl MaterializedBags {
         }
     }
 
-    /// Worker count for per-level tree passes: parallel only when some
-    /// level has two or more nodes with children (otherwise levels are
-    /// single-task and threads pure overhead), the tree is big enough to
-    /// amortize thread setup, and the caller did not opt out via
-    /// [`with_sequential_bags`].
-    fn pass_workers(&self) -> usize {
-        let wide = self.levels.iter().any(|l| l.len() > 1);
-        fan_out_workers(wide, self.total_rows(), PARALLEL_PASS_THRESHOLD)
-    }
-
-    /// Bottom-up Yannakakis pass, per level from the deepest up: each
-    /// internal node keeps the rows with a live partner in every child.
+    /// Bottom-up Yannakakis pass in post-order: each internal node keeps
+    /// the rows with a live partner in every child.
     /// Returns the live rows per node and whether every bag stayed
     /// nonempty (`false` → `q(D) = ∅`; the pass stops there).
     fn reduce_bottom_up(&self) -> (Vec<LiveRows>, bool) {
@@ -820,16 +798,13 @@ impl MaterializedBags {
         if self.relations.iter().any(|r| r.is_empty()) {
             return (live, false);
         }
-        let workers = self.pass_workers();
-        for level in self.levels.iter().rev() {
-            let results =
-                crate::par::scoped_map(level.len(), workers, |i| self.reduce_node(&live, level[i]));
-            let mut emptied = false;
-            for (&u, rows) in level.iter().zip(results) {
-                emptied |= rows.count == 0;
-                live[u] = rows;
-            }
-            if emptied {
+        for &u in self
+            .post_order
+            .iter()
+            .filter(|&&u| !self.children[u].is_empty())
+        {
+            live[u] = self.reduce_node(&live, u);
+            if live[u].count == 0 {
                 return (live, false);
             }
         }
@@ -946,7 +921,7 @@ fn build_bag_tree(
     // bound atom relations), not the whole database — a big unrelated
     // relation must not trigger thread spawns for a microsecond join.
     let bound_tuples: usize = bound.iter().map(FlatRelation::len).sum();
-    let workers = fan_out_workers(n > 1, bound_tuples, PARALLEL_BAG_THRESHOLD);
+    let workers = fan_out_workers(n > 1, bound_tuples);
     let relations: Vec<FlatRelation> = crate::par::scoped_map(n, workers, |u| {
         materialize_bag(&recipes[u], |ai| &bound[ai])
     });
@@ -977,20 +952,6 @@ fn build_bag_tree(
             }
         }
     }
-    // Depth levels (root = level 0) of the internal nodes, for the
-    // per-level parallel passes.
-    let levels: Vec<Vec<usize>> = std::iter::successors(Some(vec![root]), |level| {
-        let next: Vec<usize> = level.iter().flat_map(|&u| children[u].clone()).collect();
-        (!next.is_empty()).then_some(next)
-    })
-    .map(|level| {
-        level
-            .into_iter()
-            .filter(|&u| !children[u].is_empty())
-            .collect()
-    })
-    .filter(|level: &Vec<usize>| !level.is_empty())
-    .collect();
     // Semijoin key columns along every tree edge, resolved once: the
     // variables a child's relation shares with its parent's relation
     // (in the child's column order), as positions on both sides.
@@ -1014,7 +975,6 @@ fn build_bag_tree(
         children,
         parents,
         post_order,
-        levels,
         up_key,
         parent_key,
         edges: fresh_edges(n),
@@ -1414,39 +1374,19 @@ impl MaterializedBags {
 /// Decide BCQ, choosing the GHD route when an exact decomposition is
 /// available (small hypergraph) and falling back to naive search.
 pub fn bcq_auto(q: &ConjunctiveQuery, db: &Database) -> bool {
-    bcq_auto_with(q, db, None)
-}
-
-/// [`bcq_auto`] with an optional precomputed GHD: a caller that already
-/// holds a decomposition of `q.hypergraph()` (e.g. a plan cache) skips
-/// the re-decomposition entirely.
-pub fn bcq_auto_with(q: &ConjunctiveQuery, db: &Database, ghd: Option<&Ghd>) -> bool {
-    match ghd {
-        // cqd2-lint: allow(panic-in-hot-path, reason = "callers pass a GHD derived from this query; a mismatch is a caller bug strict verify catches earlier")
-        Some(g) => bcq_via_ghd(q, db, g).expect("precomputed ghd is valid for this query"),
-        None => match ghw_decomposition(&q.hypergraph()) {
-            // cqd2-lint: allow(panic-in-hot-path, reason = "the GHD was just computed from this query's hypergraph")
-            Some(g) => bcq_via_ghd(q, db, &g).expect("ghd is valid for this query"),
-            None => bcq_naive(q, db),
-        },
+    match ghw_decomposition(&q.hypergraph()) {
+        // cqd2-lint: allow(panic-in-hot-path, reason = "the GHD was just computed from this query's hypergraph")
+        Some(g) => bcq_via_ghd(q, db, &g).expect("ghd is valid for this query"),
+        None => bcq_naive(q, db),
     }
 }
 
 /// Count answers, choosing the GHD route when possible.
 pub fn count_auto(q: &ConjunctiveQuery, db: &Database) -> u128 {
-    count_auto_with(q, db, None)
-}
-
-/// [`count_auto`] with an optional precomputed GHD (see [`bcq_auto_with`]).
-pub fn count_auto_with(q: &ConjunctiveQuery, db: &Database, ghd: Option<&Ghd>) -> u128 {
-    match ghd {
-        // cqd2-lint: allow(panic-in-hot-path, reason = "callers pass a GHD derived from this query; a mismatch is a caller bug strict verify catches earlier")
-        Some(g) => count_via_ghd(q, db, g).expect("precomputed ghd is valid for this query"),
-        None => match ghw_decomposition(&q.hypergraph()) {
-            // cqd2-lint: allow(panic-in-hot-path, reason = "the GHD was just computed from this query's hypergraph")
-            Some(g) => count_via_ghd(q, db, &g).expect("ghd is valid for this query"),
-            None => count_naive(q, db),
-        },
+    match ghw_decomposition(&q.hypergraph()) {
+        // cqd2-lint: allow(panic-in-hot-path, reason = "the GHD was just computed from this query's hypergraph")
+        Some(g) => count_via_ghd(q, db, &g).expect("ghd is valid for this query"),
+        None => count_naive(q, db),
     }
 }
 
@@ -1573,20 +1513,6 @@ mod tests {
         let mut db2 = Database::new();
         db2.insert("R", &[9, 9]);
         assert!(!bcq_naive(&q, &db2));
-    }
-
-    #[test]
-    fn auto_with_precomputed_ghd_matches_recomputed_route() {
-        // The plan-cache entry point: a caller holding a decomposition
-        // (here: freshly computed, in practice translated from a cache
-        // hit) must get the same answers without re-decomposing.
-        let q = canonical_query(&hypercycle(5, 2));
-        let db = planted_database(&q, 7, 18, 4);
-        let ghd = ghw_decomposition(&q.hypergraph()).unwrap();
-        assert_eq!(bcq_auto_with(&q, &db, Some(&ghd)), bcq_auto(&q, &db));
-        assert_eq!(count_auto_with(&q, &db, Some(&ghd)), count_auto(&q, &db));
-        assert_eq!(bcq_auto_with(&q, &db, None), bcq_auto(&q, &db));
-        assert_eq!(count_auto_with(&q, &db, None), count_auto(&q, &db));
     }
 
     /// Collected-and-sorted view of the streaming enumerator, for

@@ -1,7 +1,7 @@
-//! Differential suite for the copy-free overlay execution paths: every
-//! workload (Boolean / Count / Enumerate) run through [`BagOverlay`]
-//! reads (`bcq` / `count` / `enumerator` on a shared
-//! [`MaterializedBags`]) must produce **bit-identical** results to the
+//! Differential suite for the copy-free warm execution paths: every
+//! workload (Boolean / Count / Enumerate) run as `bcq` / `count` /
+//! `enumerator` on a shared [`MaterializedBags`] must produce
+//! **bit-identical** results to the
 //! clone-based baseline (`deep_clone()` + the consuming `into_*`
 //! passes), across randomized, empty, and duplicate-heavy databases —
 //! and the overlay runs must not perturb the shared tree (re-running
@@ -9,15 +9,13 @@
 
 use cqd2_cq::generate::random_database;
 use cqd2_cq::{
-    bcq_naive, count_naive, enumerate_naive, with_sequential_bags, ConjunctiveQuery, Database,
-    MaterializedBags,
+    bcq_naive, count_naive, enumerate_naive, ConjunctiveQuery, Database, MaterializedBags,
 };
 use cqd2_decomp::{Ghd, TreeDecomposition};
 use cqd2_hypergraph::VertexId;
 
 /// The bushy fixture: 7 atoms, hand-rooted GHD with two internal
-/// mid-level nodes (so per-level tree passes have real parallelism to
-/// exercise once the row threshold is crossed).
+/// mid-level nodes.
 ///
 /// ```text
 ///            A(a,b)
@@ -189,44 +187,33 @@ fn concurrent_enumerators_share_one_tree() {
 }
 
 #[test]
-fn parallel_passes_match_sequential() {
+fn large_rewriting_tree_passes_match_reference() {
     let (q, ghd) = bushy();
-    // Big enough that the per-level parallel branch actually engages
-    // (> 2^15 rows across the tree, two internal mid nodes), with a
-    // domain that makes the semijoins genuinely filter — the parallel
-    // pass must agree with the sequential one on REWRITING runs, not
-    // just the all-survive fast path.
-    // Domain ≫ rows per relation: each side's join-column values cover
-    // only a fraction of the domain, so the semijoins drop real rows
-    // (while dedup leaves the relations near full size).
+    // A large tree (> 2^15 rows, two internal mid nodes) whose
+    // semijoins genuinely filter: the warm passes must agree with the
+    // consuming reference on REWRITING runs, not just the all-survive
+    // fast path. Domain ≫ rows per relation: each side's join-column
+    // values cover only a fraction of the domain, so the semijoins drop
+    // real rows (while dedup leaves the relations near full size).
     let db = random_database(&q, 20_000, 10_000, 5);
     let bags = MaterializedBags::build(&q, &db, &ghd).expect("bag tree materializes");
     assert!(
         bags.total_rows() > (1 << 15),
-        "fixture must cross the parallel-pass threshold (got {} rows)",
+        "fixture must be a large tree (got {} rows)",
         bags.total_rows()
     );
-    let (par_bool, bool_stats) = bags.bcq_with_stats();
+    let (warm_bool, bool_stats) = bags.bcq_with_stats();
     assert!(
         bool_stats.rewritten > 0,
-        "fixture must actually rewrite bags to exercise the parallel pass"
+        "fixture must actually rewrite bags"
     );
-    let (par_count, _) = bags.count_with_stats();
-    let par_tuples: Vec<Vec<u64>> = bags.enumerator().collect();
-    let (seq_bool, seq_count, seq_tuples) = with_sequential_bags(|| {
-        let b = bags.bcq();
-        let n = bags.count();
-        let t: Vec<Vec<u64>> = bags.enumerator().collect();
-        (b, n, t)
-    });
-    assert_eq!(par_bool, seq_bool);
-    assert_eq!(par_count, seq_count);
-    assert_eq!(par_tuples, seq_tuples);
-    // Clone-based consuming baseline agrees too.
-    assert_eq!(par_bool, bags.deep_clone().into_bcq());
-    assert_eq!(par_count, bags.deep_clone().into_count());
+    let (warm_count, _) = bags.count_with_stats();
+    let warm_tuples: Vec<Vec<u64>> = bags.enumerator().collect();
+    assert_eq!(warm_bool, bags.deep_clone().into_bcq());
+    assert_eq!(warm_count, bags.deep_clone().into_count());
+    // Enumeration order included.
     assert_eq!(
-        par_tuples,
+        warm_tuples,
         bags.deep_clone()
             .into_enumerator()
             .collect::<Vec<Vec<u64>>>()

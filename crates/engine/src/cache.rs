@@ -122,16 +122,11 @@ impl PlanCache {
     }
 
     /// Look up the structure class of `h`. On a hit the stored GHD is
-    /// translated into `h`'s coordinates and the entry's LRU stamp is
-    /// refreshed. Counts a miss otherwise.
-    pub fn lookup(&mut self, h: &Hypergraph) -> Option<CachedPlan> {
-        self.lookup_in(h, None)
-    }
-
-    /// [`PlanCache::lookup`], additionally attributing the hit to the
-    /// named database (the prepare path passes the pinned snapshot's
-    /// name; structure-only planning passes `None`). The attribution
-    /// set drives the plan spill's per-name staleness.
+    /// translated into `h`'s coordinates, the entry's LRU stamp is
+    /// refreshed, and the hit is attributed to the named database (the
+    /// prepare path passes the pinned snapshot's name; structure-only
+    /// planning passes `None`). The attribution set drives the plan
+    /// spill's per-name staleness. Counts a miss otherwise.
     pub fn lookup_in(&mut self, h: &Hypergraph, db: Option<&str>) -> Option<CachedPlan> {
         self.tick += 1;
         let key = fingerprint(h);
@@ -160,12 +155,7 @@ impl PlanCache {
 
     /// Store the analysis of `h`'s structure class, with `h` as the
     /// class representative. At capacity, the least-recently-used entry
-    /// across all fingerprint buckets is evicted first.
-    pub fn insert(&mut self, h: &Hypergraph, structure: PlannedStructure) -> Arc<PlannedStructure> {
-        self.insert_in(h, structure, &[])
-    }
-
-    /// [`PlanCache::insert`] with database attribution: `dbs` seeds the
+    /// across all fingerprint buckets is evicted first. `dbs` seeds the
     /// entry's attribution set (one name from the prepare path, or a
     /// spilled record's full set on preload).
     pub fn insert_in(
@@ -220,7 +210,7 @@ impl PlanCache {
     }
 
     /// Is the structure class of `h` already cached? Unlike
-    /// [`PlanCache::lookup`] this bumps no counters and refreshes no LRU
+    /// [`PlanCache::lookup_in`] this bumps no counters and refreshes no LRU
     /// stamps — it is the plan store's preload dedup probe, and must not
     /// distort the serving hit/miss statistics.
     pub fn contains(&self, h: &Hypergraph) -> bool {
@@ -233,19 +223,12 @@ impl PlanCache {
     }
 
     /// Clone out every cached structure class as `(representative,
-    /// analysis)` pairs, LRU-oldest first (so a capacity-truncating
-    /// consumer keeps the hottest classes last-written). This is the
-    /// plan store's spill surface; counters are untouched.
-    pub fn export(&self) -> Vec<(Hypergraph, PlannedStructure)> {
-        self.export_attributed()
-            .into_iter()
-            .map(|(h, s, _)| (h, s))
-            .collect()
-    }
-
-    /// [`PlanCache::export`] with each entry's database-attribution set
-    /// (sorted names; empty = structure-only planning). The plan spill
-    /// persists this so staleness can be judged per name on reload.
+    /// analysis, database-attribution set)` triples, LRU-oldest first
+    /// (so a capacity-truncating consumer keeps the hottest classes
+    /// last-written). Attribution sets are sorted names (empty =
+    /// structure-only planning); the plan spill persists them so
+    /// staleness can be judged per name on reload. Counters are
+    /// untouched.
     pub fn export_attributed(&self) -> Vec<(Hypergraph, PlannedStructure, Vec<String>)> {
         let mut entries: Vec<&CacheEntry> = self.buckets.values().flatten().collect();
         entries.sort_by_key(|e| e.last_used);
@@ -291,15 +274,17 @@ mod tests {
         let mut cache = PlanCache::new(0);
         let planner = Planner::default();
         let h = hypercycle(5, 2);
-        assert!(cache.lookup(&h).is_none());
-        cache.insert(&h, planner.plan_structure(&h));
+        assert!(cache.lookup_in(&h, None).is_none());
+        cache.insert_in(&h, planner.plan_structure(&h), &[]);
 
         // Identical query: hit.
-        assert!(cache.lookup(&h).is_some());
+        assert!(cache.lookup_in(&h, None).is_some());
         // Renamed-but-isomorphic query: hit, with a translated GHD that
         // validates against the *renamed* hypergraph.
         let renamed = relabel_reversed(&h);
-        let hit = cache.lookup(&renamed).expect("isomorphic structure hits");
+        let hit = cache
+            .lookup_in(&renamed, None)
+            .expect("isomorphic structure hits");
         let ghd = hit.ghd.expect("cycle has a ghd");
         ghd.validate(&renamed).unwrap();
         assert_eq!(ghd.width(), 2);
@@ -313,9 +298,9 @@ mod tests {
         let mut cache = PlanCache::new(0);
         let planner = Planner::default();
         let chain = hyperchain(4, 2);
-        cache.insert(&chain, planner.plan_structure(&chain));
-        assert!(cache.lookup(&hypercycle(4, 2)).is_none());
-        assert!(cache.lookup(&hyperchain(5, 2)).is_none());
+        cache.insert_in(&chain, planner.plan_structure(&chain), &[]);
+        assert!(cache.lookup_in(&hypercycle(4, 2), None).is_none());
+        assert!(cache.lookup_in(&hyperchain(5, 2), None).is_none());
     }
 
     #[test]
@@ -324,13 +309,13 @@ mod tests {
         let planner = Planner::default();
         for k in 3..6 {
             let h = hyperchain(k, 2);
-            cache.insert(&h, planner.plan_structure(&h));
+            cache.insert_in(&h, planner.plan_structure(&h), &[]);
         }
         // LRU order at the third insert was chain-3 < chain-4, so only
         // chain-3 was evicted; the cache stays full.
-        assert!(cache.lookup(&hyperchain(3, 2)).is_none());
-        assert!(cache.lookup(&hyperchain(4, 2)).is_some());
-        assert!(cache.lookup(&hyperchain(5, 2)).is_some());
+        assert!(cache.lookup_in(&hyperchain(3, 2), None).is_none());
+        assert!(cache.lookup_in(&hyperchain(4, 2), None).is_some());
+        assert!(cache.lookup_in(&hyperchain(5, 2), None).is_some());
         assert_eq!(cache.stats().entries, 2);
     }
 
@@ -339,21 +324,24 @@ mod tests {
         let mut cache = PlanCache::new(2);
         let planner = Planner::default();
         let hot = hypercycle(5, 2);
-        cache.insert(&hot, planner.plan_structure(&hot));
+        cache.insert_in(&hot, planner.plan_structure(&hot), &[]);
         // A stream of one-shot structures churns through the remaining
         // slot; the hot structure is touched between insertions and must
         // never be the LRU victim.
         for k in 3..8 {
             let cold = hyperchain(k, 2);
-            assert!(cache.lookup(&hot).is_some(), "hot entry evicted at k={k}");
-            cache.insert(&cold, planner.plan_structure(&cold));
+            assert!(
+                cache.lookup_in(&hot, None).is_some(),
+                "hot entry evicted at k={k}"
+            );
+            cache.insert_in(&cold, planner.plan_structure(&cold), &[]);
         }
-        assert!(cache.lookup(&hot).is_some());
+        assert!(cache.lookup_in(&hot, None).is_some());
         assert_eq!(cache.stats().entries, 2);
         // The cold structures churned: all but the newest were evicted.
         for k in 3..7 {
-            assert!(cache.lookup(&hyperchain(k, 2)).is_none(), "k={k}");
+            assert!(cache.lookup_in(&hyperchain(k, 2), None).is_none(), "k={k}");
         }
-        assert!(cache.lookup(&hyperchain(7, 2)).is_some());
+        assert!(cache.lookup_in(&hyperchain(7, 2), None).is_some());
     }
 }

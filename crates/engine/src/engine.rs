@@ -11,9 +11,8 @@
 //! [`crate::session`]: [`Engine::session`] snapshots a database's
 //! statistics once, `Session::prepare` resolves a query's plan once, and
 //! `PreparedQuery::run` re-executes at zero planning cost.
-//! [`Engine::serve`] / [`Engine::serve_with_stats`] /
-//! [`Engine::execute_batch`] are thin compatibility shims over those
-//! handles (one session + one prepared query per call).
+//! [`Engine::serve`] / [`Engine::execute_batch`] are thin compatibility
+//! shims over those handles (one session + one prepared query per call).
 
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -25,7 +24,7 @@ use cqd2_cq::{ConjunctiveQuery, Database};
 use crate::cache::{CacheStats, PlanCache};
 use crate::error::EngineError;
 use crate::plan::{DataEstimate, PlannedQuery};
-use crate::planner::{Planner, PlannerConfig};
+use crate::planner::Planner;
 use crate::session::PreparedCore;
 
 /// The process-wide shared engine (see [`Engine::shared`] and
@@ -35,8 +34,6 @@ static SHARED: OnceLock<Engine> = OnceLock::new();
 /// Engine-level configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Planner knobs (see [`PlannerConfig`]).
-    pub planner: PlannerConfig,
     /// Maximum structures the plan cache holds (0 = unbounded).
     pub cache_capacity: usize,
     /// Worker threads for [`Engine::execute_batch`]; 0 means "use
@@ -67,7 +64,6 @@ impl EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            planner: PlannerConfig::default(),
             cache_capacity: 10_000,
             workers: 0,
             strict_verify: EngineConfig::strict_verify_from_env(),
@@ -231,8 +227,8 @@ pub struct Response {
     pub provenance: PlanProvenance,
 }
 
-/// The serving engine. A cheap-clone handle: the planner, plan cache,
-/// and configuration live behind one `Arc`, so clones share the cache
+/// The serving engine. A cheap-clone handle: the plan cache and
+/// configuration live behind one `Arc`, so clones share the cache
 /// and every clone is `Send + Sync + 'static`. That is what lets
 /// [`crate::Session`] and [`crate::PreparedQuery`] own their engine
 /// reference instead of borrowing it — the owned, lifetime-free serving
@@ -244,7 +240,6 @@ pub struct Engine {
 }
 
 struct EngineInner {
-    planner: Planner,
     cache: Mutex<PlanCache>,
     config: EngineConfig,
 }
@@ -260,7 +255,6 @@ impl Engine {
     pub fn new(config: EngineConfig) -> Engine {
         Engine {
             inner: Arc::new(EngineInner {
-                planner: Planner::new(config.planner.clone()),
                 cache: Mutex::new(PlanCache::new(config.cache_capacity)),
                 config,
             }),
@@ -328,7 +322,7 @@ impl Engine {
         // duplicate the expensive analysis of one structure class. The
         // batch executor's parallelism comes from execution, which
         // dominates planning for warm workloads.
-        let structure = self.inner.planner.plan_structure(h);
+        let structure = Planner::default().plan_structure(h);
         let dbs: Vec<String> = db.map(str::to_string).into_iter().collect();
         let stored = cache.insert_in(h, structure, &dbs);
         ((*stored).clone(), false)
@@ -388,21 +382,14 @@ impl Engine {
         resp
     }
 
-    /// [`Engine::serve`] against a precomputed statistics snapshot of
-    /// `req.db`. The batch executor collects one snapshot per distinct
-    /// database instead of re-scanning per request; single-request
-    /// callers with an unchanging database get the same amortization by
-    /// calling `db.stats()` once and passing it here (or by holding a
-    /// [`crate::Session`], which pins a full snapshot).
-    pub fn serve_with_stats(&self, req: &Request<'_>, stats: &DatabaseStats) -> Response {
-        self.serve_on(req, stats)
-    }
-
-    /// One-shot serve: build the prepared core, consume it (no bag-tree
-    /// copy), and fold the planning and preprocessing cost this call
-    /// actually paid back into the provenance (prepared handles report
-    /// zero planning on their runs; preprocessing lands in `execution`,
-    /// where the old monolithic serve counted it). This borrows the
+    /// One-shot serve against a precomputed statistics snapshot of
+    /// `req.db` (the batch executor collects one per distinct database
+    /// instead of re-scanning per request): build the prepared core,
+    /// consume it (no bag-tree copy), and fold the planning and
+    /// preprocessing cost this call actually paid back into the
+    /// provenance (prepared handles report zero planning on their runs;
+    /// preprocessing lands in `execution`, where the old monolithic
+    /// serve counted it). This borrows the
     /// database directly — no snapshot is cloned or pinned — which is
     /// what keeps the one-shot shims copy-free.
     fn serve_on(&self, req: &Request<'_>, stats: &DatabaseStats) -> Response {
@@ -487,13 +474,13 @@ impl Engine {
             // Inline serving keeps intra-query bag parallelism available.
             return requests
                 .iter()
-                .map(|r| self.serve_with_stats(r, stats_for(r)))
+                .map(|r| self.serve_on(r, stats_for(r)))
                 .collect();
         }
         // The batch already saturates the worker pool: disable nested
         // intra-query bag parallelism inside each worker.
         cqd2_cq::par::scoped_map(n, workers, |i| {
-            with_sequential_bags(|| self.serve_with_stats(&requests[i], stats_for(&requests[i])))
+            with_sequential_bags(|| self.serve_on(&requests[i], stats_for(&requests[i])))
         })
     }
 
@@ -503,20 +490,10 @@ impl Engine {
     }
 
     /// Clone out every cached structure class as `(representative,
-    /// analysis)` pairs (see [`PlanCache::export`]). This is the plan
-    /// store's spill surface; hit/miss counters are untouched.
-    pub fn export_plans(
-        &self,
-    ) -> Vec<(
-        cqd2_hypergraph::Hypergraph,
-        crate::planner::PlannedStructure,
-    )> {
-        cqd2_cq::sync::lock_or_poison(&self.inner.cache).export()
-    }
-
-    /// [`Engine::export_plans`] with each entry's database-attribution
-    /// set (see [`PlanCache::export_attributed`]) — the plan store's
-    /// per-name-invalidation spill surface.
+    /// analysis, database-attribution set)` triples (see
+    /// [`PlanCache::export_attributed`]) — the plan store's
+    /// per-name-invalidation spill surface; hit/miss counters are
+    /// untouched.
     pub fn export_plans_attributed(
         &self,
     ) -> Vec<(
@@ -531,18 +508,8 @@ impl Engine {
     /// its representative hypergraph. Returns `false` (and stores
     /// nothing) when the structure class is already cached — preloading
     /// never evicts or duplicates live entries, and bumps no hit/miss
-    /// counters.
-    pub fn preload_plan(
-        &self,
-        representative: &cqd2_hypergraph::Hypergraph,
-        structure: crate::planner::PlannedStructure,
-    ) -> bool {
-        self.preload_plan_for(representative, structure, &[])
-    }
-
-    /// [`Engine::preload_plan`] with database attribution preserved:
-    /// `dbs` seeds the entry's attribution set, so a spill → load →
-    /// spill round-trip keeps per-name staleness intact.
+    /// counters. `dbs` seeds the entry's attribution set, so a spill →
+    /// load → spill round-trip keeps per-name staleness intact.
     pub fn preload_plan_for(
         &self,
         representative: &cqd2_hypergraph::Hypergraph,

@@ -116,7 +116,7 @@ pub use engine::{
 pub use error::EngineError;
 pub use metrics::{Counter, Gauge, Histogram, Phase, QueryTrace, Snapshot, Span};
 pub use plan::{CostEstimate, DataEstimate, PlannedQuery, QueryPlan};
-pub use planner::{PlannedStructure, Planner, PlannerConfig};
+pub use planner::{PlannedStructure, Planner};
 #[cfg(feature = "serde")]
 pub use server::{Server, ServerConfig, ServerError, ServerHandle, ServerStats};
 pub use session::{AnswerCursor, PreparedQuery, Session};

@@ -24,49 +24,29 @@ use cqd2_jigsaw::extract_jigsaw;
 
 use crate::plan::{CostEstimate, DataEstimate, PlannedQuery, QueryPlan};
 
-/// Planner knobs. The defaults suit interactive serving; tests and
-/// experiments tighten them to force specific regimes.
-#[derive(Debug, Clone)]
-pub struct PlannerConfig {
-    /// Run the exact ghw DP only up to this many vertices. The DP's
-    /// hard cap is 26 (`cqd2_decomp::exact::MAX_EXACT_VERTICES`), but
-    /// its `2^n` state space makes the low twenties already cost
-    /// minutes — far too slow for a planner — so serving defaults to a
-    /// budget where planning stays in the low milliseconds.
-    pub exact_vertex_cap: usize,
-    /// Beyond the exact budget, fall back to certified heuristic GHDs
-    /// (min-fill / dual-route). When `false`, large structures plan as
-    /// naive joins.
-    pub use_heuristic_ghd: bool,
-    /// Largest jigsaw dimension the Theorem 4.7 extraction searches for.
-    /// `0` disables jigsaw certificates entirely.
-    pub jigsaw_max_n: usize,
-    /// Node budget for the grid-minor search inside the extraction.
-    pub jigsaw_budget: u64,
-    /// Only attempt the (expensive) jigsaw extraction when the best GHD
-    /// width is at least this; below it the structure is cheap anyway.
-    pub jigsaw_min_width: usize,
-    /// Width at which a jigsaw certificate flips the plan into the hard
-    /// regime ([`crate::plan::QueryPlan::JigsawReduce`]); narrower
-    /// structures keep their GHD plan and carry the certificate as a
-    /// note only.
-    pub hard_regime_width: usize,
-}
+/// Run the exact ghw DP only up to this many vertices. The DP's hard
+/// cap is 26 (`cqd2_decomp::exact::MAX_EXACT_VERTICES`), but its `2^n`
+/// state space makes the low twenties already cost minutes, so the
+/// planner stops where planning stays in the low milliseconds. Beyond
+/// it, certified heuristic GHDs (min-fill / dual route) take over.
+const EXACT_VERTEX_CAP: usize = 18;
 
-impl Default for PlannerConfig {
-    fn default() -> Self {
-        PlannerConfig {
-            exact_vertex_cap: 18,
-            use_heuristic_ghd: true,
-            // 5 matches the pre-engine facade's extraction cap, so
-            // `cqd2::analyze` reports the same certificates it always did.
-            jigsaw_max_n: 5,
-            jigsaw_budget: 2_000_000,
-            jigsaw_min_width: 2,
-            hard_regime_width: 3,
-        }
-    }
-}
+/// Largest jigsaw dimension the Theorem 4.7 extraction searches for
+/// (the pre-engine facade's cap, so `cqd2::analyze` reports the same
+/// certificates it always did).
+const JIGSAW_MAX_N: usize = 5;
+
+/// Node budget for the grid-minor search inside the extraction.
+const JIGSAW_BUDGET: u64 = 2_000_000;
+
+/// Only attempt the (expensive) jigsaw extraction when the best GHD
+/// width is at least this; below it the structure is cheap anyway.
+const JIGSAW_MIN_WIDTH: usize = 2;
+
+/// Width at which a jigsaw certificate flips the plan into the hard
+/// regime ([`QueryPlan::JigsawReduce`]); narrower structures keep their
+/// GHD plan and carry the certificate as a note only.
+const HARD_REGIME_WIDTH: usize = 3;
 
 /// Everything the planner learned about one structure (isomorphism
 /// class). This is the value the plan cache stores; per-request
@@ -80,8 +60,8 @@ pub struct PlannedStructure {
     /// Theorem 4.7 certificate: dilution sequence to the `n × n` jigsaw.
     pub jigsaw: Option<(DilutionSequence, usize)>,
     /// Whether the certificate places the structure in the hard regime
-    /// (width at or above the planner's `hard_regime_width`), which is
-    /// when plans surface it as [`QueryPlan::JigsawReduce`].
+    /// (GHD width 3 or more), which is when plans surface it as
+    /// [`QueryPlan::JigsawReduce`].
     pub hard_regime: bool,
     /// Number of hypergraph edges (= distinct atom variable-sets): the
     /// naive join's data exponent.
@@ -218,19 +198,12 @@ impl PlannedStructure {
     }
 }
 
-/// The planner: runs structural analysis once per structure.
+/// The planner: runs structural analysis once per structure. Stateless;
+/// its budgets are this module's constants.
 #[derive(Debug, Clone, Default)]
-pub struct Planner {
-    /// Configuration knobs.
-    pub config: PlannerConfig,
-}
+pub struct Planner {}
 
 impl Planner {
-    /// A planner with the given configuration.
-    pub fn new(config: PlannerConfig) -> Planner {
-        Planner { config }
-    }
-
     /// Analyze one structure (the expensive, cache-amortized step).
     pub fn plan_structure(&self, h: &Hypergraph) -> PlannedStructure {
         let start = Instant::now();
@@ -251,7 +224,7 @@ impl Planner {
         }
 
         // 1. Exact decomposition when it fits the planning budget.
-        let exact = if h.num_vertices() <= self.config.exact_vertex_cap {
+        let exact = if h.num_vertices() <= EXACT_VERTEX_CAP {
             ghw_decomposition(h)
         } else {
             None
@@ -261,23 +234,14 @@ impl Planner {
                 notes.push(format!("exact ghw = {}", g.width()));
                 (Some(g), true)
             }
-            None if self.config.use_heuristic_ghd => {
+            None => {
                 let g = self.heuristic_ghd(h);
                 notes.push(format!(
-                    "exact ghw over budget ({} vertices > cap {}); heuristic ghd width {}",
+                    "exact ghw over budget ({} vertices > cap {EXACT_VERTEX_CAP}); heuristic ghd width {}",
                     h.num_vertices(),
-                    self.config.exact_vertex_cap,
                     g.width()
                 ));
                 (Some(g), false)
-            }
-            None => {
-                notes.push(format!(
-                    "exact ghw over budget ({} vertices > cap {}); heuristics disabled",
-                    h.num_vertices(),
-                    self.config.exact_vertex_cap
-                ));
-                (None, false)
             }
         };
 
@@ -286,35 +250,31 @@ impl Planner {
         // The extraction pipeline requires a connected host (its minor
         // machinery walks one component); disconnected structures skip
         // the certificate rather than risk a partial answer.
-        let jigsaw = if self.config.jigsaw_max_n >= 2
-            && h.max_degree() <= 2
-            && width_for_gate >= self.config.jigsaw_min_width
-            && h.is_connected()
-        {
-            match extract_jigsaw(h, self.config.jigsaw_max_n, self.config.jigsaw_budget) {
-                Ok(Some(e)) => {
-                    notes.push(format!(
-                        "Theorem 4.7: dilutes to the {n}×{n} jigsaw ({} ops)",
-                        e.sequence.ops.len(),
-                        n = e.n
-                    ));
-                    Some((e.sequence, e.n))
+        let jigsaw =
+            if h.max_degree() <= 2 && width_for_gate >= JIGSAW_MIN_WIDTH && h.is_connected() {
+                match extract_jigsaw(h, JIGSAW_MAX_N, JIGSAW_BUDGET) {
+                    Ok(Some(e)) => {
+                        notes.push(format!(
+                            "Theorem 4.7: dilutes to the {n}×{n} jigsaw ({} ops)",
+                            e.sequence.ops.len(),
+                            n = e.n
+                        ));
+                        Some((e.sequence, e.n))
+                    }
+                    Ok(None) => None,
+                    Err(err) => {
+                        notes.push(format!("jigsaw extraction skipped: {err}"));
+                        None
+                    }
                 }
-                Ok(None) => None,
-                Err(err) => {
-                    notes.push(format!("jigsaw extraction skipped: {err}"));
-                    None
-                }
-            }
-        } else {
-            None
-        };
+            } else {
+                None
+            };
 
-        let hard_regime = jigsaw.is_some() && width_for_gate >= self.config.hard_regime_width;
+        let hard_regime = jigsaw.is_some() && width_for_gate >= HARD_REGIME_WIDTH;
         if jigsaw.is_some() && !hard_regime {
             notes.push(format!(
-                "jigsaw certificate below hard-regime width {}; keeping the ghd plan",
-                self.config.hard_regime_width
+                "jigsaw certificate below hard-regime width {HARD_REGIME_WIDTH}; keeping the ghd plan"
             ));
         }
         PlannedStructure {
@@ -346,7 +306,7 @@ impl Planner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cqd2_hypergraph::generators::{hyperchain, hypercycle, random_degree_bounded};
+    use cqd2_hypergraph::generators::{hyperchain, hypercycle};
     use cqd2_jigsaw::jigsaw;
 
     #[test]
@@ -386,24 +346,6 @@ mod tests {
         assert!(matches!(plan.plan, QueryPlan::JigsawReduce { n: 3, .. }));
         // Hard regime, but evaluation cost still reflects the stored GHD.
         assert!(plan.cost.db_exponent <= s.width().unwrap() as f64);
-    }
-
-    #[test]
-    fn oversize_structures_without_heuristics_plan_naive() {
-        let planner = Planner::new(PlannerConfig {
-            use_heuristic_ghd: false,
-            jigsaw_max_n: 0,
-            ..PlannerConfig::default()
-        });
-        // > 26 vertices: beyond the exact-DP cap.
-        let h = random_degree_bounded(30, 3, 3, 0.4, 7);
-        assert!(
-            h.num_vertices() > 26,
-            "instance should exceed the exact cap"
-        );
-        let s = planner.plan_structure(&h);
-        assert!(s.ghd.is_none());
-        assert!(matches!(s.bool_plan().plan, QueryPlan::NaiveJoin));
     }
 
     #[test]

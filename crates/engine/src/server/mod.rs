@@ -76,7 +76,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use cqd2_cq::eval::with_sequential_bags;
 use cqd2_cq::sync::lock_or_poison;
 use cqd2_cq::ConjunctiveQuery;
 
@@ -824,13 +823,10 @@ impl Server {
         } else {
             config.workers
         };
-        // When several workers share the machine, nested intra-query bag
-        // parallelism would oversubscribe it.
-        let sequential_bags = workers > 1;
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 let queue = &queue;
-                scope.spawn(move || worker_loop(queue, metrics, sequential_bags));
+                scope.spawn(move || worker_loop(queue, metrics));
             }
             let ctx = ConnCtx {
                 engine,
@@ -870,9 +866,9 @@ impl Server {
 // Worker side.
 // ---------------------------------------------------------------------
 
-fn worker_loop(queue: &JobQueue<Job<'_>>, metrics: &ServerMetrics, sequential_bags: bool) {
+fn worker_loop(queue: &JobQueue<Job<'_>>, metrics: &ServerMetrics) {
     while let Some(job) = queue.pop() {
-        execute_job(job, metrics, sequential_bags);
+        execute_job(job, metrics);
     }
 }
 
@@ -892,7 +888,7 @@ fn micros(d: Duration) -> u64 {
 /// `@trace`, a [`QueryTrace`] is assembled per query from disjoint
 /// phase sub-intervals (so the span sum never exceeds `server_micros`)
 /// and attached to the `Result` payload.
-fn execute_job(job: Job<'_>, metrics: &ServerMetrics, sequential_bags: bool) {
+fn execute_job(job: Job<'_>, metrics: &ServerMetrics) {
     let db_metrics = &metrics.per_db[job.db_index];
     let queue_wait = job.enqueued_at.elapsed();
     let epoch = job.session.epoch();
@@ -965,11 +961,7 @@ fn execute_job(job: Job<'_>, metrics: &ServerMetrics, sequential_bags: bool) {
             t.record(Phase::Materialize, materialize);
         }
         let resp = match trace.as_mut() {
-            Some(t) if sequential_bags => {
-                with_sequential_bags(|| prepared.run_traced(item.workload, t))
-            }
             Some(t) => prepared.run_traced(item.workload, t),
-            None if sequential_bags => with_sequential_bags(|| prepared.run(item.workload)),
             None => prepared.run(item.workload),
         };
         // Shrink accounting: how many nodes of the prepared bag tree

@@ -29,9 +29,8 @@
 //! handles outlive the scope that created them, cross threads, and —
 //! crucially — keep answering consistently against their pinned epoch
 //! while a [`crate::Catalog::swap`] hot-reloads the database for new
-//! sessions underneath them. `Engine::serve` / `serve_with_stats` /
-//! `execute_batch` survive as thin, borrow-only compatibility shims
-//! over the same machinery.
+//! sessions underneath them. `Engine::serve` / `execute_batch` survive
+//! as thin, borrow-only compatibility shims over the same machinery.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -565,14 +564,6 @@ impl PreparedQuery {
             resp.provenance.planned.plan.strategy(),
         );
         resp
-    }
-
-    /// Execute once and consume the handle: the materialized bag tree
-    /// is passed over in place instead of copied. Serving loops keep
-    /// the handle and call [`PreparedQuery::run`].
-    pub fn run_once(self, workload: Workload) -> Response {
-        let PreparedQuery { snapshot, core } = self;
-        core.run_once(snapshot.db(), workload)
     }
 
     /// Open a streaming [`AnswerCursor`] over `q(D)`, yielding at most

@@ -28,7 +28,10 @@
 # This script collects those lines (plus each bench's exit status) into
 # BENCH_results.json next to the repo root:
 #   {"gates": [{"bench": ..., "gate": ..., "ratio": ..., "floor": ...,
-#               "cmp": ..., "pass": true|false}, ...], "all_passed": ...}
+#               "cmp": ..., "pass": true|false}, ...], "all_passed": ...,
+#    "product_src_lines": {"cq": N, "engine": M}}
+# product_src_lines is the line count of each product crate's src/
+# tree (unit tests included), the size figure tracked beside the gates.
 # A bench that dies before printing its GATE line (assert tripped,
 # panic, build failure) still gets a JSON entry with ratio null and
 # pass false — failures are never silently absent from the report.
@@ -97,6 +100,7 @@ for bench in "${GATES[@]}"; do
 done
 
 if [ "$FAILED" -ne 0 ]; then all_passed=false; else all_passed=true; fi
+src_lines() { find "crates/$1/src" -name '*.rs' -print0 | xargs -0 cat | wc -l; }
 {
   echo '{"gates": ['
   sep=""
@@ -105,7 +109,8 @@ if [ "$FAILED" -ne 0 ]; then all_passed=false; else all_passed=true; fi
     sep=$',\n'
   done
   echo
-  echo "], \"all_passed\": $all_passed}"
+  echo "], \"all_passed\": $all_passed,"
+  echo " \"product_src_lines\": {\"cq\": $(src_lines cq), \"engine\": $(src_lines engine)}}"
 } >"$JSON_OUT"
 
 echo

@@ -6,8 +6,8 @@
 use cqd2::cq::eval::{bcq_naive, count_naive, enumerate_naive};
 use cqd2::cq::generate::{canonical_query, planted_database, random_database};
 use cqd2::cq::{ConjunctiveQuery, Term, Var};
-use cqd2::engine::{Engine, EngineConfig, PlannerConfig, QueryPlan, Request, Workload};
-use cqd2::hypergraph::generators::{hyperchain, hypercycle, random_degree_bounded};
+use cqd2::engine::{Engine, EngineConfig, QueryPlan, Request, Workload};
+use cqd2::hypergraph::generators::{hyperchain, hypercycle};
 use cqd2::jigsaw::extract::decorated_jigsaw_dual;
 use cqd2::jigsaw::jigsaw;
 
@@ -82,29 +82,6 @@ fn planner_routes_grid_like_degree2_queries_to_jigsaw() {
         planned.explain().contains("jigsaw"),
         "{}",
         planned.explain()
-    );
-}
-
-#[test]
-fn planner_routes_wide_oversize_queries_to_naive() {
-    let engine = Engine::new(EngineConfig {
-        planner: PlannerConfig {
-            use_heuristic_ghd: false,
-            jigsaw_max_n: 0,
-            ..PlannerConfig::default()
-        },
-        ..EngineConfig::default()
-    });
-    let h = random_degree_bounded(30, 3, 3, 0.4, 7);
-    assert!(
-        h.num_vertices() > 26,
-        "fixture must exceed the exact-ghw cap"
-    );
-    let q = canonical_query(&h);
-    let (planned, _, _) = engine.plan(&q, Workload::Boolean);
-    assert!(
-        matches!(planned.plan, QueryPlan::NaiveJoin),
-        "got {planned:?}"
     );
 }
 
